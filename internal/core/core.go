@@ -533,6 +533,14 @@ func (s *Searcher) query(start graph.VertexID, seq route.Sequence, dest graph.Ve
 			continue
 		}
 		s.noteTopKPop(r)
+		if s.pruneByDest(r) {
+			s.stats.PrunedByDest++
+			if lg != nil {
+				lg.prunedDest++
+			}
+			s.emit(EventPruneThreshold, r)
+			continue
+		}
 		if s.idxRows.any && s.pruneByIndex(r) {
 			s.stats.PrunedByIndex++
 			if lg != nil {
@@ -655,9 +663,18 @@ func (s *Searcher) expand(r *route.Route, from graph.VertexID, qb *pq.Heap[*rout
 				s.emit(EventSkylineReject, rt)
 			}
 		} else {
-			// Enqueue-time form of the index prune: a route the index
-			// bound already condemns would be pruned at pop (the threshold
-			// only shrinks in the meantime), so don't queue it at all.
+			// Enqueue-time forms of the destination and index prunes: a
+			// route either bound already condemns would be pruned at pop
+			// (the threshold only shrinks in the meantime), so don't queue
+			// it at all.
+			if s.pruneByDest(rt) {
+				s.stats.PrunedByDest++
+				if lg := s.legHook(rt.Size()); lg != nil {
+					lg.prunedDest++
+				}
+				s.emit(EventPruneThreshold, rt)
+				continue
+			}
 			if s.idxRows.any && s.pruneByIndex(rt) {
 				s.stats.PrunedByIndex++
 				if lg := s.legHook(rt.Size()); lg != nil {
@@ -697,6 +714,51 @@ func (s *Searcher) pruneByIndex(r *route.Route) bool {
 		bound += s.bounds.lsSuffix[m] // hops after the first
 	}
 	return bound >= s.sky.Threshold(r.Semantic())
+}
+
+// Destination pruning (§6 "SkySR with destination"). destDist[v] is the
+// exact network distance from v to the destination on the weight column,
+// so every completion of a partial route r — whatever PoIs it still
+// visits — has length at least r.Length() + destDist[r.Last()]: the
+// remaining legs form a walk from r.Last() to the destination, which is
+// no shorter than the shortest path (triangle inequality). A route whose
+// bound reaches the Lemma 5.3 threshold of its own semantic score is
+// therefore outside the answer, exactly as if its own length did; the
+// threshold only shrinks and extension only raises the semantic score,
+// so the verdict stays valid for the rest of the query. runMDijkstra
+// applies the same bound to its frontier (see destLim there).
+//
+// Time-dependent queries: the table is built on the weight column, which
+// holds every arc's lower-bound cost (graph.Metric), and under FIFO each
+// remaining leg's travel time is at least its lower-bound length, so the
+// bound stays admissible for any departure time.
+//
+// Rounding: engine lengths and table entries sum the same edges in
+// different association orders, so the comparison is padded. Every length
+// involved is a float sum of positive edge weights along a route of at
+// most k+1 legs, each a path of fewer than |V| edges; a sum tree that
+// deep is within (|V|+k+1)·2⁻⁵³ of its real value, relatively. Comparing
+// against threshold·(1 + (|V|+k)·2⁻⁴⁸) leaves more than twice that error
+// plus the comparison's own roundings, so the prune fires only when the
+// engine's own float length of every completion would reach the
+// threshold too: it drops nothing a search without it would keep. The
+// pad scales the threshold, not the table entry, because the error grows
+// with the whole route length, which a small remaining distance cannot
+// cover.
+
+// destLimit returns the remaining distance at which a partial route of
+// length l is provably outside the answer under threshold (see above).
+func (s *Searcher) destLimit(threshold, l float64) float64 {
+	pad := float64(s.d.Graph.NumVertices()+len(s.seq)) * 0x1p-48
+	return threshold + threshold*pad - l
+}
+
+// pruneByDest reports that the destination table proves no completion of
+// the partial route r can enter the answer. Always false without a table
+// (no destination, or the contraction-hierarchy path, chleg.go).
+func (s *Searcher) pruneByDest(r *route.Route) bool {
+	return s.destDist != nil &&
+		s.destDist[r.Last()] >= s.destLimit(s.sky.Threshold(r.Semantic()), r.Length())
 }
 
 // completeToDest appends the final leg to the destination (§6) to a
@@ -792,8 +854,11 @@ func (s *Searcher) reversedGraph() *graph.Graph {
 // computeDestDistances fills destDist with D(v, dest) for every vertex,
 // searching the reverse graph so directed networks are handled correctly.
 // The reverse graph carries no time table, so on time-dependent datasets
-// the table holds lower-bound distances (see completeToDest).
+// the table holds lower-bound distances (see completeToDest). Its time is
+// charged to the destination-leg stage.
 func (s *Searcher) computeDestDistances(dest graph.VertexID) {
+	began := time.Now()
+	defer func() { s.stats.DestLegTime += time.Since(began) }()
 	g := s.d.Graph
 	rg := s.reversedGraph()
 	ws := s.ws

@@ -40,7 +40,19 @@ type cacheKey struct {
 type cacheEntry struct {
 	radius   float64
 	complete bool // whole reachable component explored
-	items    []candidate
+	// destCut marks a run whose frontier the destination bound cut at
+	// budget destLim (runMDijkstra): its candidates are complete only for
+	// this query's destination and budgets up to destLim, so it is never
+	// published to the SharedCache, whose key carries no destination.
+	destCut bool
+	destLim float64
+	items   []candidate
+}
+
+// covers reports that the entry holds every candidate a request with the
+// given radius and destination budget needs.
+func (e *cacheEntry) covers(radius, destLim float64) bool {
+	return e.complete || e.radius >= radius && (!e.destCut || e.destLim >= destLim)
 }
 
 // nextPoIs returns the PoIs that semantically match position r.Size(),
@@ -55,6 +67,13 @@ func (s *Searcher) nextPoIs(r *route.Route, from graph.VertexID) []candidate {
 	// l(Rt) = l(Rd) + dist ≥ l̄(Rd).
 	threshold := s.sky.Threshold(r.Semantic())
 	radius := threshold - r.Length()
+	// The destination cut bounds the same remaining path as the suffix
+	// below, so it takes the un-tightened radius: adding the two bounds
+	// would count the route's remaining legs twice.
+	destLim := math.Inf(1)
+	if s.destDist != nil {
+		destLim = s.destLimit(threshold, r.Length())
+	}
 	if s.bounds != nil && s.bounds.fromIndex {
 		// Tighten the radius by the §5.3.3 suffix: a candidate found here
 		// sits at position pos, and completing the route from it costs at
@@ -78,7 +97,7 @@ func (s *Searcher) nextPoIs(r *route.Route, from graph.VertexID) []candidate {
 
 	if s.cache != nil {
 		key := cacheKey{from: from, pos: pos, depart: depart}
-		if e, ok := s.cache[key]; ok && (e.complete || e.radius >= radius) {
+		if e, ok := s.cache[key]; ok && e.covers(radius, destLim) {
 			s.stats.CacheHits++
 			if lg := s.legHook(pos); lg != nil {
 				lg.cacheHits++
@@ -86,7 +105,7 @@ func (s *Searcher) nextPoIs(r *route.Route, from graph.VertexID) []candidate {
 			s.emit(EventCacheHit, nil)
 			return e.items
 		}
-		e := s.sharedOrRun(from, pos, radius, depart)
+		e := s.sharedOrRun(from, pos, radius, destLim, depart)
 		if !s.cc.cancelled() {
 			// A truncated run's items stop at an arbitrary frontier; caching
 			// them could serve an incomplete candidate set to a later query
@@ -96,7 +115,7 @@ func (s *Searcher) nextPoIs(r *route.Route, from graph.VertexID) []candidate {
 		}
 		return e.items
 	}
-	return s.sharedOrRun(from, pos, radius, depart).items
+	return s.sharedOrRun(from, pos, radius, destLim, depart).items
 }
 
 // sharedOrRun serves a modified-Dijkstra request from the cross-query
@@ -107,15 +126,18 @@ func (s *Searcher) nextPoIs(r *route.Route, from graph.VertexID) []candidate {
 // annotations — then depend only on the immutable dataset and the
 // similarity function the cache is dedicated to. Time-dependent runs
 // bypass the shared cache entirely (their distances are functions of the
-// departure time, which the shared key does not carry).
-func (s *Searcher) sharedOrRun(from graph.VertexID, pos int, radius, depart float64) *cacheEntry {
+// departure time, which the shared key does not carry). Runs the
+// destination bound cut are not published either (cacheEntry.destCut),
+// but destination queries still read shared entries: an uncut run's
+// candidates are a superset of a cut one's.
+func (s *Searcher) sharedOrRun(from graph.VertexID, pos int, radius, destLim, depart float64) *cacheEntry {
 	shared := s.opts.Shared
 	if shared == nil || s.opts.DisablePathFilter || s.td {
-		return s.runMDijkstra(from, pos, radius, depart)
+		return s.runMDijkstra(from, pos, radius, destLim, depart)
 	}
 	cat, ok := s.seq[pos].(*route.Category)
 	if !ok {
-		return s.runMDijkstra(from, pos, radius, depart)
+		return s.runMDijkstra(from, pos, radius, destLim, depart)
 	}
 	key := sharedKey{from: from, cat: cat.ID(), origin: pos == 0}
 	if e := shared.lookup(key, radius, s.opts.Epoch); e != nil {
@@ -126,10 +148,11 @@ func (s *Searcher) sharedOrRun(from graph.VertexID, pos int, radius, depart floa
 		s.emit(EventCacheHit, nil)
 		return e
 	}
-	e := s.runMDijkstra(from, pos, radius, depart)
-	if !s.cc.cancelled() {
-		// Never publish a truncated run: a poisoned entry would corrupt
-		// every query sharing the cache, not just this one.
+	e := s.runMDijkstra(from, pos, radius, destLim, depart)
+	if !s.cc.cancelled() && !e.destCut {
+		// Never publish a truncated or destination-cut run: a poisoned
+		// entry would corrupt every query sharing the cache, not just
+		// this one.
 		shared.store(key, e, s.opts.Epoch)
 	}
 	return e
@@ -186,6 +209,18 @@ func (w *mdWorkspace) begin() uint32 {
 // and goal-row cuts below compare those travel times against lower-bound
 // distances, which keeps them admissible (see graph/metric.go).
 //
+// On destination queries the frontier is also cut by the destination
+// table: destLim is the remaining distance at which a route through the
+// expanding route's end is provably outside the answer (destLimit), so u
+// is skipped once d + destDist[u] ≥ destLim. A candidate x the cut could
+// lose yields routes of length ≥ L + D(from,x) + destDist[x], which the
+// destination prune drops anyway. Every other candidate keeps all its
+// shortest paths and its Lemma 5.5 annotation: for u on such a path,
+// destDist[u] ≤ D(u,x) + destDist[x] (triangle inequality), so
+// d_u + destDist[u] ≤ D(from,x) + destDist[x] < destLim. Under FIFO the
+// same holds with travel times, whose legs are never shorter than the
+// lower-bound table. destLim is ignored when the query has no table.
+//
 // The origin itself is a usable candidate only when pos == 0: there `from`
 // is the query start vertex, which may be a matching PoI serving position
 // 1 at distance zero. For pos ≥ 1 the origin is the expanding route's own
@@ -194,7 +229,7 @@ func (w *mdWorkspace) begin() uint32 {
 // would be infeasible) nor stop the traversal. This split keeps cache
 // entries consistent: every route expanding through a (from, pos) key has
 // the same relationship to the origin.
-func (s *Searcher) runMDijkstra(from graph.VertexID, pos int, radius, depart float64) *cacheEntry {
+func (s *Searcher) runMDijkstra(from graph.VertexID, pos int, radius, destLim, depart float64) *cacheEntry {
 	s.stats.MDijkstraRuns++
 	mdBegan := time.Now()
 	settled := 0
@@ -236,6 +271,7 @@ func (s *Searcher) runMDijkstra(from graph.VertexID, pos int, radius, depart flo
 	if pos < len(s.idxRows.sem) {
 		goalRow = s.idxRows.sem[pos]
 	}
+	destDist := s.destDist
 
 	if s.md == nil {
 		s.md = newMDWorkspace(g.NumVertices())
@@ -278,6 +314,11 @@ func (s *Searcher) runMDijkstra(from graph.VertexID, pos int, radius, depart flo
 				}
 				continue
 			}
+		}
+		if destDist != nil && d+destDist[u] >= destLim {
+			cut = true
+			entry.destCut = true
+			continue
 		}
 		uBlockSim, uBlockV := w.blockSim[u], w.blockV[u]
 
@@ -335,6 +376,11 @@ func (s *Searcher) runMDijkstra(from graph.VertexID, pos int, radius, depart flo
 					continue
 				}
 			}
+			if destDist != nil && nd+destDist[t] >= destLim {
+				cut = true
+				entry.destCut = true
+				continue
+			}
 			if w.stamp[t] != epoch || nd < w.dist[t] {
 				w.dist[t] = nd
 				w.blockSim[t] = nextSim
@@ -352,6 +398,7 @@ func (s *Searcher) runMDijkstra(from graph.VertexID, pos int, radius, depart flo
 		entry.radius = 0
 	} else if cut {
 		entry.radius = radius
+		entry.destLim = destLim
 	} else {
 		entry.complete = true
 		entry.radius = math.Inf(1)

@@ -137,13 +137,13 @@ func (s *Searcher) QueryRated(start graph.VertexID, seq route.Sequence) (*RatedR
 				s.stats.CacheHits++
 				cands = ce.items
 			} else {
-				ce = s.runMDijkstra(from, pos, radius, depart)
+				ce = s.runMDijkstra(from, pos, radius, math.Inf(1), depart)
 				s.cache[key] = ce
 				s.accountCacheBytes()
 				cands = ce.items
 			}
 		} else {
-			cands = s.runMDijkstra(from, pos, radius, depart).items
+			cands = s.runMDijkstra(from, pos, radius, math.Inf(1), depart).items
 		}
 		for _, c := range cands {
 			if e.r.Contains(c.v) {

@@ -50,9 +50,11 @@ type Stats struct {
 	PrunedByBounds  int64   // routes dropped by §5.3.3 pruning
 	PrunedThreshold int64   // routes dropped by the Eq. 3 threshold at pop
 	PrunedByIndex   int64   // routes dropped by the tree-distance index
+	PrunedByDest    int64   // routes dropped by the destination-distance bound (pruneByDest)
 
-	// Destination leg (§6 "SkySR with destination", time-dependent exact
-	// pricing; see destLeg).
+	// Destination leg (§6 "SkySR with destination"): DestLegRuns counts
+	// exact leg pricings (time-dependent or CH, see destLeg); DestLegTime
+	// covers them plus the reverse table build (computeDestDistances).
 	DestLegRuns int64
 	DestLegTime time.Duration
 

@@ -30,6 +30,7 @@ type legTrace struct {
 	prunedThreshold int64
 	prunedBounds    int64
 	prunedIndex     int64
+	prunedDest      int64
 	time            time.Duration
 	firstDepart     float64 // TD departure of the leg's first run
 	hasDepart       bool
@@ -115,6 +116,9 @@ func (s *Searcher) finishTrace(err error) {
 		if lg.prunedIndex > 0 {
 			ls.Set("pruned_index", lg.prunedIndex)
 		}
+		if lg.prunedDest > 0 {
+			ls.Set("pruned_dest", lg.prunedDest)
+		}
 		if i < len(s.idxRows.sem) {
 			ls.Set("index_row", s.idxRows.sem[i] != nil)
 		}
@@ -122,7 +126,9 @@ func (s *Searcher) finishTrace(err error) {
 			ls.Set("depart", lg.firstDepart)
 		}
 	}
-	if st.DestLegRuns > 0 {
+	if s.hasDest() {
+		// The table build precedes NNinit and the exact legs interleave
+		// with the main loop; like the leg spans, only the duration counts.
 		ds := sp.Record("destleg", loopStart, st.DestLegTime)
 		ds.Set("runs", st.DestLegRuns)
 	}
@@ -146,6 +152,9 @@ func (s *Searcher) finishTrace(err error) {
 	sp.Set("pruned_threshold", st.PrunedThreshold)
 	sp.Set("pruned_bounds", st.PrunedByBounds)
 	sp.Set("pruned_index", st.PrunedByIndex)
+	if s.hasDest() {
+		sp.Set("pruned_dest", st.PrunedByDest)
+	}
 	sp.Set("index_covered", st.IndexCovered)
 	if err != nil {
 		sp.Set("interrupted", err.Error())

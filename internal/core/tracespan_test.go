@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"strconv"
 	"testing"
 
 	"skysr/internal/faults"
 	"skysr/internal/gen"
+	"skysr/internal/graph"
 	"skysr/internal/route"
+	"skysr/internal/taxonomy"
 	"skysr/internal/trace"
 )
 
@@ -110,6 +113,55 @@ func TestQuerySpanTreeMirrorsStats(t *testing.T) {
 	// so they can only bound the total from below.
 	if legSettled > res.Stats.SettledVertices {
 		t.Errorf("Σ leg settled = %d > total %d", legSettled, res.Stats.SettledVertices)
+	}
+}
+
+// TestDestinationQuerySpan checks the destination explain: every
+// destination query carries a destleg span (the table build is charged to
+// it even when no exact leg is priced), and the search and leg spans
+// report the destination prunes Stats counts.
+func TestDestinationQuerySpan(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	f := taxonomy.Generated(3, 2, 3)
+	var pruned int64
+	for trial := 0; trial < 10; trial++ {
+		d := dyadicDataset(rng, f, 20, 16, false, 0)
+		cats := pickCats(rng, f, 3)
+		seq := route.NewCategorySequence(f, f.WuPalmer, cats...)
+		start, dest := graph.VertexID(rng.Intn(20)), graph.VertexID(rng.Intn(20))
+		opts := DefaultOptions()
+		tr := trace.New("route")
+		opts.Span = tr.Root()
+		res, err := NewSearcher(d, f.WuPalmer, opts).QueryWithDestination(start, seq, dest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Finish()
+		search := findChild(tr.Root(), "search")
+		ds := findChild(search, "destleg")
+		if ds == nil {
+			t.Fatalf("trial %d: no destleg span", trial)
+		}
+		if ds.Duration() != res.Stats.DestLegTime || res.Stats.DestLegTime <= 0 {
+			t.Errorf("trial %d: destleg span %v, DestLegTime %v; want equal and positive",
+				trial, ds.Duration(), res.Stats.DestLegTime)
+		}
+		want := strconv.FormatInt(res.Stats.PrunedByDest, 10)
+		if got := attrMap(search)["pruned_dest"]; got != want {
+			t.Errorf("trial %d: search pruned_dest = %q, want %s", trial, got, want)
+		}
+		var legSum int64
+		for i := range cats {
+			n, _ := strconv.ParseInt(attrMap(findChild(search, "leg["+strconv.Itoa(i)+"]"))["pruned_dest"], 10, 64)
+			legSum += n
+		}
+		if legSum != res.Stats.PrunedByDest {
+			t.Errorf("trial %d: Σ leg pruned_dest = %d, want %d", trial, legSum, res.Stats.PrunedByDest)
+		}
+		pruned += res.Stats.PrunedByDest
+	}
+	if pruned == 0 {
+		t.Fatal("no destination prune fired; the span checks are vacuous")
 	}
 }
 
