@@ -32,13 +32,13 @@ type BatchOptions struct {
 }
 
 // SearchBatch answers a whole workload over a bounded worker pool, reusing
-// pooled searcher workspaces and sharing cacheable state (the tree index,
-// compiled requirements, and m-Dijkstra results via ShareCache, which it
-// enables for every query) across the batch. Answers are returned in query
-// order and are identical to what a serial Search loop would produce. The
-// whole batch runs against the dataset version current when the call
-// starts: a concurrent ApplyUpdates never splits one batch across two
-// epochs.
+// pooled searcher workspaces and sharing cacheable state (the category
+// index, compiled requirements, and m-Dijkstra results via ShareCache,
+// which it enables for every query) across the batch. Answers are
+// returned in query order and are identical to what a serial Search loop
+// would produce. The whole batch runs against the dataset version current
+// when the call starts: a concurrent ApplyUpdates never splits one batch
+// across two epochs.
 //
 // Per-query options flow through unchanged, including SearchOptions.TopK:
 // a batch may mix classic and ranked top-k queries freely (k > 1 queries

@@ -34,11 +34,11 @@ func TestSearchBatchMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mixed options: rotate through no-index, tree-index and
-	// category-index across the batch.
+	// Mixed options: alternate plain BSSR and the category-index plan
+	// across the batch.
 	perQuery := make([]SearchOptions, len(queries))
 	for i := range perQuery {
-		perQuery[i] = SearchOptions{UseIndex: i%3 == 0, UseCategoryIndex: i%3 == 1}
+		perQuery[i] = SearchOptions{UseCategoryIndex: i%2 == 1}
 	}
 	want := make([]*Answer, len(queries))
 	for i, q := range queries {

@@ -10,12 +10,11 @@ import (
 )
 
 // servingProfiles enumerates the serving configurations every cancellation
-// guarantee must hold under: plain BSSR, the tree-index profile, the
-// category-index profile, and the multi-query ShareCache profile.
+// guarantee must hold under: plain BSSR, the category-index plan, and the
+// multi-query ShareCache layering on top of it.
 func servingProfiles() map[string]SearchOptions {
 	return map[string]SearchOptions{
 		"plain":          {},
-		"tree-index":     {UseIndex: true},
 		"category-index": {UseCategoryIndex: true},
 		"share-cache":    {ShareCache: true},
 	}

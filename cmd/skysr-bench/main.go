@@ -18,7 +18,7 @@
 //	skysr-bench -timedep -json BENCH_PR5.json -check
 //	skysr-bench -soak -json BENCH_PR7.json -check
 //	skysr-bench -httpload -json BENCH_PR8.json -check
-//	skysr-bench -ch -scale 4 -datasets osm -json BENCH_PR10.json -check
+//	skysr-bench -binary -scale 4 -datasets osm -check   # text parse vs mmap open
 //	skysr-bench -compare -json BENCH_TRAJECTORY.json -check   # merge historical reports, gate drift
 package main
 
@@ -44,7 +44,7 @@ func main() {
 	verify := flag.Bool("verify", false, "cross-check all algorithms return identical skylines")
 	csvDir := flag.String("csv", "", "directory for machine-readable CSV exports (optional)")
 	throughputOnly := flag.Bool("throughput", false, "run only the batch-serving throughput sweep (queries/sec vs workers)")
-	latencyOnly := flag.Bool("latency", false, "run only the serving-profile latency comparison (baseline vs tree-index vs category-index)")
+	latencyOnly := flag.Bool("latency", false, "run only the serving-profile latency comparison (baseline vs category-index)")
 	churnOnly := flag.Bool("churn", false, "run only the mixed read/write live-update scenario (queries interleaved with ApplyUpdates batches)")
 	soakOnly := flag.Bool("soak", false, "run only the fault-injected HTTP serving soak (mixed query/update/cancel storm, recovery asserted afterwards)")
 	soakOps := flag.Int("soak-ops", 160, "with -soak: client operations per dataset")
@@ -54,7 +54,7 @@ func main() {
 	httploadWorkers := flag.String("httpload-workers", "1,4,8", "with -httpload: comma-separated concurrent client counts")
 	compareOnly := flag.Bool("compare", false, "merge the historical bench reports (positional args, default BENCH_PR*.json) into one trajectory and gate cross-PR latency drift")
 	topkOnly := flag.Bool("topk", false, "run only the ranked top-k sweep (k = 1, 2, 4, 8 vs plain Search and vs k repeated Searches)")
-	chOnly := flag.Bool("ch", false, "run only the contraction-hierarchy experiment (leg microbenchmark, destination-query identity, text-vs-mmap open) on the first -datasets entry")
+	binaryOnly := flag.Bool("binary", false, "run only the dataset-open comparison (text parse vs binary mmap) on the first -datasets entry")
 	timedepOnly := flag.Bool("timedep", false, "run only the cost-metric experiment (static vs constant-profile vs rush-hour time-dependent latency)")
 	jsonOut := flag.String("json", "", "with -latency, -churn, -topk or -timedep: write the machine-readable report (e.g. BENCH_PR2.json ... BENCH_PR5.json) to this path")
 	check := flag.Bool("check", false, "with -latency, -churn, -topk or -timedep: exit non-zero if the profile regresses (identical answers, latency / incremental-repair / k=1 / metric-overhead gates)")
@@ -187,26 +187,19 @@ func main() {
 		}
 		return
 	}
-	if *chOnly {
-		rep, err := h.CH()
+	if *binaryOnly {
+		rep, err := h.Binary()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "skysr-bench: %v\n", err)
 			os.Exit(1)
 		}
-		bench.RenderCH(os.Stdout, rep)
-		if *jsonOut != "" {
-			if err := bench.WriteCHJSON(*jsonOut, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "skysr-bench: write %s: %v\n", *jsonOut, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
+		bench.RenderBinary(os.Stdout, rep)
 		if *check {
-			if err := bench.CheckCH(rep); err != nil {
+			if err := bench.CheckBinary(rep); err != nil {
 				fmt.Fprintf(os.Stderr, "skysr-bench: %v\n", err)
 				os.Exit(1)
 			}
-			fmt.Println("ch check passed: answers identical, leg bounds admissible, leg and open speedups over their floors")
+			fmt.Println("binary check passed: mmap open speedup over its floor")
 		}
 		return
 	}

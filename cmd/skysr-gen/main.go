@@ -5,7 +5,7 @@
 //
 //	skysr-gen -preset tokyo -scale 0.5 -seed 42 -out tokyo.skysr
 //	skysr-gen -preset tokyo -time-profiles 0.5 -out tokyo-td.skysr
-//	skysr-gen -preset osm -scale 4 -binary -ch -out osm.skysrb
+//	skysr-gen -preset osm -scale 4 -binary -out osm.skysrb
 //
 // -time-profiles attaches rush-hour travel-time profiles (two congestion
 // peaks over a one-day period) to the given fraction of edges, making the
@@ -13,17 +13,13 @@
 // parameter then price every leg at its actual traversal time.
 //
 // -binary writes the mmap-ready binary format instead of text; a later
-// Open maps it without parsing. -ch (binary only) builds the
-// contraction-hierarchy overlay and embeds it, so the opening engine
-// serves the UseCH profile with no warm-up.
+// Open maps it without parsing.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"skysr"
 )
@@ -34,17 +30,12 @@ func main() {
 	seed := flag.Int64("seed", 42, "generation seed")
 	timeProfiles := flag.Float64("time-profiles", 0, "fraction of edges to wrap in rush-hour travel-time profiles (0 = static dataset)")
 	binary := flag.Bool("binary", false, "write the mmap-ready binary format instead of text")
-	ch := flag.Bool("ch", false, "build and embed the contraction-hierarchy overlay (requires -binary)")
 	out := flag.String("out", "", "output file (required)")
 	flag.Parse()
 
 	if *out == "" {
 		fmt.Fprintln(os.Stderr, "skysr-gen: -out is required")
 		flag.Usage()
-		os.Exit(2)
-	}
-	if *ch && !*binary {
-		fmt.Fprintln(os.Stderr, "skysr-gen: -ch requires -binary (the text format has no overlay section)")
 		os.Exit(2)
 	}
 	eng, err := skysr.Generate(*preset, *scale, *seed)
@@ -59,15 +50,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("attached rush-hour profiles to %d of %d edges (period %g)\n", n, eng.NumEdges(), eng.TimePeriod())
-	}
-	if *ch {
-		began := time.Now()
-		st, err := eng.WarmCH(context.Background(), nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skysr-gen: ch build: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("built CH overlay: %d shortcuts in %v\n", st.Shortcuts, time.Since(began).Round(time.Millisecond))
 	}
 	save := eng.Save
 	if *binary {

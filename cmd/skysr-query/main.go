@@ -16,11 +16,8 @@
 // level. Each result line carries the route's rank, length and semantic
 // similarity score.
 //
-// -ch runs the query under the contraction-hierarchy serving profile:
-// the overlay is warmed first (instant when -data is a binary dataset
-// with an embedded overlay, see skysr-gen -binary -ch) and destination
-// legs are priced through it. Answers are byte-identical to the plain
-// path; only the latency changes.
+// -data accepts either dataset format: text, or the binary format
+// (skysr-gen -binary), which is memory-mapped instead of parsed.
 //
 // -trace prints the query's span tree after the results — one span per
 // search stage (NNinit, bounds, each leg's modified Dijkstra, the
@@ -51,7 +48,6 @@ func main() {
 	stats := flag.Bool("stats", false, "print BSSR instrumentation counters")
 	k := flag.Int("k", 1, "ranked alternatives per similarity level (top-k; 1 = classic skyline)")
 	depart := flag.Float64("depart", 0, "departure time at the start vertex (time-dependent datasets price legs at traversal time)")
-	ch := flag.Bool("ch", false, "serve through the contraction-hierarchy overlay (warms it first if the dataset did not embed one)")
 	traceFlag := flag.Bool("trace", false, "print the query's span tree (per-stage explain) after the results")
 	flag.Parse()
 
@@ -75,14 +71,6 @@ func main() {
 		q.HasDestination = true
 	}
 	opts := skysr.SearchOptions{Algorithm: alg, ExpandPaths: *expand, TopK: *k, DepartAt: *depart}
-	if *ch {
-		st, err := eng.WarmCH(context.Background(), nil)
-		if err != nil {
-			fail(fmt.Errorf("ch warm-up: %w", err))
-		}
-		fmt.Printf("CH overlay ready: %d shortcuts over %d vertices\n", st.Shortcuts, st.Vertices)
-		opts.UseCH = true
-	}
 	var tr *trace.Trace
 	if *traceFlag {
 		tr = trace.New("query")

@@ -9,18 +9,15 @@
 //	skysr-serve -data tokyo.skysr -addr :8080
 //	skysr-serve -preset tokyo -scale 0.25      # generate in memory
 //	skysr-serve -data tokyo.skysr -warm-index -write-index
-//	skysr-serve -data osm.skysrb -ch           # CH profile; overlay mmapped from the binary dataset
+//	skysr-serve -data osm.skysrb               # binary dataset, memory-mapped
 //	skysr-serve -preset tokyo -query-timeout 2s -max-concurrent 8
 //
-// The -index flag selects the serving profile (none, tree or category —
-// see README, "Serving profiles"); -data automatically adopts a matching
-// index sidecar (<file>.cidx) so cold-starts skip the index rebuild, and
-// -warm-index/-write-index build and persist one. -ch layers the
-// contraction-hierarchy profile on top: the overlay is warmed at startup
-// (instant when -data is a binary dataset with an embedded overlay) and
-// destination legs are priced through it, byte-identical to the plain
-// path. A SIGTERM during any of the startup preprocessing is honoured:
-// the CH build cancels and the process exits cleanly.
+// The -index flag selects the serving plan (none for plain BSSR, or
+// category — see README, "Serving profiles"); -data automatically adopts
+// a matching index sidecar (<file>.cidx) so cold-starts skip the index
+// rebuild, and -warm-index/-write-index build and persist one. A SIGTERM
+// during the startup preprocessing is honoured: the server drains
+// immediately once it returns.
 //
 // Endpoints:
 //
@@ -115,8 +112,7 @@ func main() {
 	scale := flag.Float64("scale", 0.25, "scale for -preset")
 	seed := flag.Int64("seed", 42, "seed for -preset")
 	addr := flag.String("addr", ":8080", "listen address")
-	indexProfile := flag.String("index", "category", "serving profile: none, tree or category (see README, Serving profiles)")
-	chProfile := flag.Bool("ch", false, "warm the contraction-hierarchy overlay at startup (instant when -data embeds one) and serve destination legs through it")
+	indexProfile := flag.String("index", "category", "serving plan: none or category (see README, Serving profiles)")
 	indexBudgetMB := flag.Int64("index-budget-mb", 0, "category-index row budget in MiB (0 = default)")
 	warmIndex := flag.Bool("warm-index", false, "build index rows for all roots and populated leaf categories at startup")
 	writeIndex := flag.Bool("write-index", false, "with -data: persist the built index to the dataset's sidecar so later cold-starts skip the rebuild")
@@ -166,12 +162,10 @@ func main() {
 	var baseOpts skysr.SearchOptions
 	switch *indexProfile {
 	case "none":
-	case "tree":
-		baseOpts.UseIndex = true
 	case "category":
 		baseOpts.UseCategoryIndex = true
 	default:
-		fmt.Fprintln(os.Stderr, "skysr-serve: -index must be none, tree or category")
+		fmt.Fprintln(os.Stderr, "skysr-serve: -index must be none or category")
 		os.Exit(2)
 	}
 	if *writeIndex && *data == "" {
@@ -180,10 +174,9 @@ func main() {
 	}
 
 	// Register the shutdown signals before preprocessing, not after: a
-	// SIGTERM delivered while the index or CH overlay warms must not kill
-	// the process mid-build with default disposition — the CH build is
-	// cancelled through ctx, and a signal during the index warm makes
-	// Serve drain immediately once preprocessing returns.
+	// SIGTERM delivered while the index warms must not kill the process
+	// mid-build with default disposition — the signal is recorded on ctx,
+	// and Serve drains immediately once preprocessing returns.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -193,15 +186,7 @@ func main() {
 	}
 	if *warmIndex {
 		began := time.Now()
-		var n int
-		var err error
-		if baseOpts.UseCategoryIndex {
-			n, err = eng.WarmCategoryIndex() // roots + populated leaves
-		} else {
-			// The none/tree profiles only ever read tree-root rows, so
-			// warming leaf rows would just pin budget they never use.
-			n, err = eng.WarmCategoryIndex(eng.RootCategories()...)
-		}
+		n, err := eng.WarmCategoryIndex() // roots + populated leaves
 		if err != nil {
 			logger.Error("index warm-up failed", "err", err)
 			os.Exit(1)
@@ -217,24 +202,6 @@ func main() {
 		}
 		logger.Info("index persisted", "sidecar", sidecar)
 	}
-	if *chProfile {
-		baseOpts.UseCH = true
-		began := time.Now()
-		st, err := eng.WarmCH(ctx, func(done, total int) {
-			logger.Debug("ch build progress", "contracted", done, "total", total)
-		})
-		if err != nil {
-			if ctx.Err() != nil {
-				logger.Info("ch warm-up cancelled by shutdown signal, bye")
-				return
-			}
-			logger.Error("ch warm-up failed", "err", err)
-			os.Exit(1)
-		}
-		logger.Info("ch overlay ready", "shortcuts", st.Shortcuts, "vertices", st.Vertices,
-			"kib", st.MemoryBytes>>10, "elapsed", time.Since(began).Round(time.Millisecond))
-	}
-
 	s := serve.New(eng, serve.Config{
 		BaseOpts:       baseOpts,
 		QueryTimeout:   *queryTimeout,
@@ -253,7 +220,7 @@ func main() {
 		os.Exit(1)
 	}
 	logger.Info("serving", "dataset", eng.Stats(), "addr", ln.Addr().String(),
-		"index_profile", *indexProfile, "ch", *chProfile, "query_timeout", *queryTimeout, "pprof", *enablePprof)
+		"index_profile", *indexProfile, "query_timeout", *queryTimeout, "pprof", *enablePprof)
 	err = s.Serve(ctx, ln, serve.HTTPConfig{
 		ReadHeaderTimeout: *readHeaderTimeout,
 		ReadTimeout:       *readTimeout,

@@ -22,12 +22,11 @@ import (
 // buys a single serial searcher: the per-query §5.3.3 lower-bound work
 // (bounded Dijkstras, a full-graph reachability snapshot) moves to build
 // time, so median single-query latency drops while answers stay
-// byte-identical. Three serving profiles are compared on the same
+// byte-identical. Two serving profiles are compared on the same
 // template workload (popular category sequences from many start
 // vertices, |Sq| = 3):
 //
 //	baseline        Search with the paper's defaults (per-query bounds)
-//	tree-index      baseline + resident tree-root rows (PR-1's UseIndex)
 //	category-index  §5.3.3 bounds and pruning radii from index lookups
 //
 // One-time index build cost is excluded from the latencies and reported
@@ -37,13 +36,12 @@ import (
 // Profile names of the latency experiment.
 const (
 	ProfileBaseline      = "baseline"
-	ProfileTreeIndex     = "tree-index"
 	ProfileCategoryIndex = "category-index"
 )
 
 // LatencyProfiles lists the serving profiles in comparison order.
 func LatencyProfiles() []string {
-	return []string{ProfileBaseline, ProfileTreeIndex, ProfileCategoryIndex}
+	return []string{ProfileBaseline, ProfileCategoryIndex}
 }
 
 // LatencyRow is one (dataset, profile) measurement.
@@ -185,21 +183,18 @@ func runLatencyProfile(d *dataset.Dataset, qs []gen.Query, profile string, size 
 
 	switch profile {
 	case ProfileBaseline:
-	case ProfileTreeIndex, ProfileCategoryIndex:
+	case ProfileCategoryIndex:
 		buildBegan := time.Now()
 		ci := index.New(d, 0)
 		ci.EnsureRoots()
-		if profile == ProfileCategoryIndex {
-			opts.IndexCategories = true
-			// Prewarm the workload's category rows, as WarmCategoryIndex
-			// (or a sidecar load) would before serving.
-			seen := map[taxonomy.CategoryID]bool{}
-			for _, q := range qs {
-				for _, c := range q.Categories {
-					if !seen[c] {
-						seen[c] = true
-						ci.Prewarm(c)
-					}
+		// Prewarm the workload's category rows, as WarmCategoryIndex
+		// (or a sidecar load) would before serving.
+		seen := map[taxonomy.CategoryID]bool{}
+		for _, q := range qs {
+			for _, c := range q.Categories {
+				if !seen[c] {
+					seen[c] = true
+					ci.Prewarm(c)
 				}
 			}
 		}

@@ -115,7 +115,6 @@ func timedepConfigs(d *dataset.Dataset, qs []gen.Query) map[string]core.Options 
 		}
 	}
 	withIdx.Index = ci
-	withIdx.IndexCategories = true
 	return map[string]core.Options{
 		"bssr":           core.DefaultOptions(),
 		"no-opt":         withoutOpt,

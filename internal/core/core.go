@@ -83,34 +83,15 @@ type Options struct {
 
 	// Index, when non-nil, supplies the precomputed category-level
 	// nearest-matching-PoI distance index (the §9 "preprocessing" future
-	// work, package index). Resident rows tighten the pruning of partial
-	// routes — the next hop costs at least the distance to the nearest
-	// PoI of the next position's tree — without affecting exactness.
-	// Build one with index.Build or index.New and share it across
-	// searchers.
+	// work, package index). Each query builds the rows of its categories
+	// on demand, within the index's memory budget. The rows tighten the
+	// pruning of partial routes — the next hop costs at least the
+	// distance to the nearest PoI of the next position's tree — and, once
+	// every position is covered, the §5.3.3 lower bounds come from index
+	// lookups instead of per-query Dijkstras. Answers are identical
+	// either way; only latency changes. Build one with index.Build or
+	// index.New and share it across searchers.
 	Index *index.CategoryDistances
-
-	// IndexCategories additionally lets queries build per-category index
-	// rows on demand (within the index's memory budget). When every
-	// position's rows are resident, the §5.3.3 lower bounds are derived
-	// from index lookups instead of per-query Dijkstras — the
-	// category-index serving profile. Answers are identical either way;
-	// only latency changes.
-	IndexCategories bool
-
-	// CH, when non-nil, supplies the contraction-hierarchy overlay of the
-	// dataset's graph (graph.BuildCH) — the serving profile the engine
-	// calls UseCH. The overlay accelerates destination-leg pricing: each
-	// completion's leg is first bounded by the bidirectional CH query
-	// (chleg.go), and only survivors pay an exact bounded search, so
-	// destination queries skip the full-graph reverse sweep entirely.
-	// Overlay distances are admissible lower bounds over the weight
-	// column (the same argument as Index rows), and every consumption
-	// site rounds them down before comparing against exact sums, so
-	// answers are byte-identical with or without the field. The overlay
-	// must belong to the dataset's graph (same vertices and weights);
-	// engines guarantee this by rebuilding it per snapshot epoch.
-	CH *graph.CHOverlay
 
 	// TopK selects ranked top-k enumeration (package topk): the answer is
 	// the k-skyband of the achieved score points — the k shortest
@@ -255,23 +236,10 @@ type Searcher struct {
 	dest   graph.VertexID
 	legWS  *dijkstra.Workspace
 
-	// Contraction-hierarchy state (chleg.go). chws is the reusable CH
-	// query workspace, rebuilt only when Options.CH changes identity;
-	// revG/revLegWS serve exact static destination-leg pricing on the
-	// reversed graph. chDest marks the current query as running the CH
-	// destination path; chLB and chLegMemo memoize per-vertex CH lower
-	// bounds and exact leg lengths within one query. chRow is the reusable
-	// PHAST row the hybrid escalation fills once a query touches enough
-	// distinct end vertices (chleg.go); chRowSet marks it valid for the
-	// current query.
-	chws      *dijkstra.CH
-	revG      *graph.Graph
-	revLegWS  *dijkstra.Workspace
-	chDest    bool
-	chLB      map[graph.VertexID]float64
-	chLegMemo map[graph.VertexID]float64
-	chRow     []float32
-	chRowSet  bool
+	// revG/revLegWS build the destination table on the reversed graph
+	// (computeDestDistances); both are kept across pooled reuse.
+	revG     *graph.Graph
+	revLegWS *dijkstra.Workspace
 
 	// cc is the per-query cancellation state (cancel.go); inert unless
 	// Options.Context or Options.Deadline is set.
@@ -339,10 +307,9 @@ type indexRows struct {
 }
 
 // prepareIndexRows resolves the per-position index rows for the current
-// sequence. Under IndexCategories missing rows are built now (one
-// multi-source Dijkstra each, amortized across every later query naming
-// the category); otherwise only already-resident rows are consulted so the
-// hot path never pays build latency.
+// sequence. Missing rows are built now (one multi-source Dijkstra each,
+// amortized across every later query naming the category), within the
+// index's memory budget.
 func (s *Searcher) prepareIndexRows() {
 	s.idxRows = indexRows{}
 	ci := s.opts.Index
@@ -355,7 +322,7 @@ func (s *Searcher) prepareIndexRows() {
 	ir.perf = make([]index.Row, k)
 	ir.cats = make([]taxonomy.CategoryID, k)
 	ir.roots = make([]taxonomy.CategoryID, k)
-	ir.covered = s.opts.IndexCategories
+	ir.covered = true
 	for i, m := range s.seq {
 		ir.cats[i], ir.roots[i] = taxonomy.NoCategory, taxonomy.NoCategory
 		c, ok := m.(*route.Category)
@@ -366,12 +333,8 @@ func (s *Searcher) prepareIndexRows() {
 		cat := c.ID()
 		root := s.d.Forest.Root(cat)
 		ir.cats[i], ir.roots[i] = cat, root
-		if s.opts.IndexCategories {
-			ir.sem[i] = ci.Row(root)
-			ir.perf[i] = ci.Row(cat)
-		} else {
-			ir.sem[i] = ci.RowIfBuilt(root)
-		}
+		ir.sem[i] = ci.Row(root)
+		ir.perf[i] = ci.Row(cat)
 		if ir.sem[i] == nil || ir.perf[i] == nil {
 			ir.covered = false
 		}
@@ -470,10 +433,6 @@ func (s *Searcher) query(start graph.VertexID, seq route.Sequence, dest graph.Ve
 	}
 	s.bounds = nil
 	s.destDist = nil
-	s.chDest = false
-	s.chLB = nil
-	s.chLegMemo = nil
-	s.chRowSet = false
 	s.posTree = make([]taxonomy.TreeID, len(seq))
 	for i, m := range seq {
 		s.posTree[i] = -1
@@ -486,14 +445,7 @@ func (s *Searcher) query(start graph.VertexID, seq route.Sequence, dest graph.Ve
 	s.ws.ResetStats()
 	if dest != graph.NoVertex {
 		s.dest = dest
-		if s.chUsable() {
-			// CH destination path: no full-graph reverse sweep. Each
-			// completion is bounded by the bidirectional CH query and
-			// priced exactly on demand (chleg.go).
-			s.chDest = true
-		} else {
-			s.computeDestDistances(dest)
-		}
+		s.computeDestDistances(dest)
 	}
 
 	// Optimization 1: seed the upper bound with NNinit (§5.3.1).
@@ -754,8 +706,8 @@ func (s *Searcher) destLimit(threshold, l float64) float64 {
 }
 
 // pruneByDest reports that the destination table proves no completion of
-// the partial route r can enter the answer. Always false without a table
-// (no destination, or the contraction-hierarchy path, chleg.go).
+// the partial route r can enter the answer. Always false without a
+// destination.
 func (s *Searcher) pruneByDest(r *route.Route) bool {
 	return s.destDist != nil &&
 		s.destDist[r.Last()] >= s.destLimit(s.sky.Threshold(r.Semantic()), r.Length())
@@ -769,9 +721,6 @@ func (s *Searcher) pruneByDest(r *route.Route) bool {
 // only be longer), and the survivors price the leg exactly with a
 // forward cost-at-arrival search departing at the route's arrival time.
 func (s *Searcher) completeToDest(rt *route.Route) (*route.Route, bool) {
-	if s.chDest {
-		return s.completeToDestCH(rt)
-	}
 	lb := s.destDist[rt.Last()]
 	if math.IsInf(lb, 1) {
 		return nil, false // destination unreachable from this PoI

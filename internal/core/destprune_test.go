@@ -119,7 +119,6 @@ func TestDestinationPruneMatchesBruteForceDyadic(t *testing.T) {
 			ci := index.Build(d)
 			withIndex := DefaultOptions()
 			withIndex.Index = ci
-			withIndex.IndexCategories = true
 			withShared := withIndex
 			withShared.Shared = NewSharedCache(0)
 			shared := NewSearcher(d, f.WuPalmer, withShared)

@@ -55,7 +55,6 @@ func TestCategoryIndexPreservesExactness(t *testing.T) {
 		want := osr.BruteForceSkySR(d, start, seq, route.AggProduct)
 		for name, opts := range optionVariants() {
 			opts.Index = idx
-			opts.IndexCategories = true
 			s := NewSearcher(d, f.WuPalmer, opts)
 			res, err := s.QueryCategories(start, cats...)
 			if err != nil {
@@ -88,7 +87,6 @@ func TestCategoryIndexAnswersIdenticalToBaseline(t *testing.T) {
 		}
 		opts := DefaultOptions()
 		opts.Index = idx
-		opts.IndexCategories = true
 		s := NewSearcher(d, f.WuPalmer, opts)
 		got, err := s.QueryCategories(start, cats...)
 		if err != nil {
@@ -126,7 +124,6 @@ func TestCategoryIndexBudgetFallback(t *testing.T) {
 		want := osr.BruteForceSkySR(d, start, seq, route.AggProduct)
 		opts := DefaultOptions()
 		opts.Index = idx
-		opts.IndexCategories = true
 		s := NewSearcher(d, f.WuPalmer, opts)
 		res, err := s.QueryCategories(start, cats...)
 		if err != nil {

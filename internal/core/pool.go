@@ -80,15 +80,6 @@ func (s *Searcher) clearTransient() {
 	s.opts.Shared = nil
 	s.opts.Index = nil
 	s.opts.Context = nil
-	// Drop the per-query CH state but keep chws (and the reversed-graph
-	// leg workspace): like ws and md they are the expensive arrays pooling
-	// exists to reuse, and the pool is per-snapshot so the overlay they
-	// pin is the snapshot's own.
-	s.opts.CH = nil
-	s.chDest = false
-	s.chLB = nil
-	s.chLegMemo = nil
-	s.chRowSet = false
 	// Drop the explain state too: an idle searcher must not pin a
 	// finished request's trace tree (the flight recorder may hold it for
 	// a long time).

@@ -48,7 +48,7 @@ func sameSkyline3(got []RatedRoute, want *route.Skyline3) bool {
 
 // TestRatedMatchesBruteForce is the exactness test for the three-criteria
 // extension across all optimization configurations, with and without the
-// tree-distance index.
+// category-distance index.
 func TestRatedMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	f := taxonomy.Generated(3, 2, 3)

@@ -53,15 +53,10 @@ type Stats struct {
 	PrunedByDest    int64   // routes dropped by the destination-distance bound (pruneByDest)
 
 	// Destination leg (§6 "SkySR with destination"): DestLegRuns counts
-	// exact leg pricings (time-dependent or CH, see destLeg); DestLegTime
+	// exact time-dependent leg pricings (destLeg); DestLegTime
 	// covers them plus the reverse table build (computeDestDistances).
 	DestLegRuns int64
 	DestLegTime time.Duration
-
-	// Contraction-hierarchy destination path (Options.CH; chleg.go).
-	CHLegLBRuns int64 // bidirectional CH bound queries run
-	CHLegPruned int64 // completions the CH lower bound dropped pre-pricing
-	CHLegSweeps int64 // PHAST one-to-many sweeps replacing per-leg bounds
 
 	// Queue and memory accounting (Table 6).
 	RoutesEnqueued int64

@@ -20,15 +20,15 @@ import (
 // Binary dataset format ("SKYSRBD1"): a sectioned, checksummed container
 // whose large columns are stored as raw little-endian arrays at 8-byte-
 // aligned offsets, so OpenBinary can memory-map the file and hand the
-// graph its CSR columns (and the CH overlay its arrays) without parsing
-// or copying — opening an OSM-scale dataset costs one mmap plus a
-// hardware-accelerated CRC pass instead of a full text parse.
+// graph its CSR columns without parsing or copying — opening an
+// OSM-scale dataset costs one mmap plus a hardware-accelerated CRC pass
+// instead of a full text parse.
 //
 // Layout (all integers little-endian):
 //
 //	[0,8)   magic "SKYSRBD1"
 //	[8,12)  flags u32: bit0 directed, bit1 time table, bit2 ratings,
-//	        bit3 CH overlay
+//	        bit3 reserved (ignored on read, never set on write)
 //	[12,16) section count u32
 //	[16,24) numVertices u64
 //	[24,32) numArcs u64 (stored arcs; 2× logical edges when undirected)
@@ -40,14 +40,15 @@ import (
 //
 // Sections either alias the mapping directly (points, offsets, targets,
 // weights, cat, ratings, the profile breakpoint arrays and arc-profile
-// column, all CH arrays) or are small and parsed on open (name,
-// taxonomy, extra categories). Zero-copy sections require a little-
-// endian host — every supported target — and OpenBinary refuses to
-// reinterpret bytes on a big-endian one.
+// column) or are small and parsed on open (name, taxonomy, extra
+// categories). Zero-copy sections require a little-endian host — every
+// supported target — and OpenBinary refuses to reinterpret bytes on a
+// big-endian one.
 //
-// The whole file sits under one checksum, so a graph and the CH overlay
-// adopted from it are verified to belong together — stronger than the
-// Matches shape check the engine applies to overlays built at runtime.
+// The reader keys sections by id and skips ids it does not use. Files
+// written before the contraction-hierarchy overlay was removed may set
+// flag bit 3 and carry section 11 (the overlay); both are ignored, so
+// those files open and answer like any other.
 
 // BinaryMagic is the 8-byte signature binary dataset files start with;
 // Engine.Open sniffs it to pick the decoder.
@@ -61,7 +62,6 @@ const (
 	flagDirected = 1 << iota
 	flagTimeTable
 	flagRatings
-	flagCH
 )
 
 const (
@@ -75,7 +75,8 @@ const (
 	secTaxonomy  = 8  // numCats × {parent i32, nameLen u32, name bytes}
 	secRatings   = 9  // numV × f64 PoI ratings
 	secTProfiles = 10 // period f64, nProf u32, pad, profiles, arcProf
-	secCH        = 11 // shortcuts/up/down counts, then the overlay arrays
+	// Section 11 held the removed contraction-hierarchy overlay; readers
+	// skip it and writers never emit it.
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -150,14 +151,10 @@ func (s *binSection) size() uint64 {
 	return n
 }
 
-// WriteBinary serializes d (and, when non-nil, its CH overlay ov) to w
-// in the binary format. The overlay must match d's graph.
-func WriteBinary(w io.Writer, d *Dataset, ov *graph.CHOverlay) error {
+// WriteBinary serializes d to w in the binary format.
+func WriteBinary(w io.Writer, d *Dataset) error {
 	if !hostLittleEndian {
 		return fmt.Errorf("%w: binary datasets require a little-endian host", ErrBadBinary)
-	}
-	if ov != nil && !ov.Matches(d.Graph) {
-		return fmt.Errorf("%w: CH overlay does not match the graph", ErrBadBinary)
 	}
 	p := d.Graph.Parts()
 
@@ -170,9 +167,6 @@ func WriteBinary(w io.Writer, d *Dataset, ov *graph.CHOverlay) error {
 	}
 	if d.HasRatings() {
 		flags |= flagRatings
-	}
-	if ov != nil {
-		flags |= flagCH
 	}
 
 	secs := []binSection{
@@ -192,9 +186,6 @@ func WriteBinary(w io.Writer, d *Dataset, ov *graph.CHOverlay) error {
 	}
 	if p.TT != nil {
 		secs = append(secs, binSection{secTProfiles, encodeTimeTable(p.TT)})
-	}
-	if ov != nil {
-		secs = append(secs, binSection{secCH, encodeCH(ov)})
 	}
 
 	headerLen := uint64(48 + 24*len(secs))
@@ -263,13 +254,13 @@ func WriteBinary(w io.Writer, d *Dataset, ov *graph.CHOverlay) error {
 	return err
 }
 
-// WriteBinaryFile serializes d (and the optional CH overlay) to a file.
-func WriteBinaryFile(path string, d *Dataset, ov *graph.CHOverlay) error {
+// WriteBinaryFile serializes d to a file.
+func WriteBinaryFile(path string, d *Dataset) error {
 	file, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := WriteBinary(file, d, ov); err != nil {
+	if err := WriteBinary(file, d); err != nil {
 		file.Close()
 		return err
 	}
@@ -335,22 +326,6 @@ func encodeTimeTable(tt *graph.TimeTable) [][]byte {
 	return append(chunks, i32Bytes(tt.ArcProfileIDs()))
 }
 
-// encodeCH lays the overlay out f64-first for alignment: shortcut/arc
-// counts, UpW, DownW, then the six i32 arrays.
-func encodeCH(ov *graph.CHOverlay) [][]byte {
-	var head [24]byte
-	binary.LittleEndian.PutUint64(head[0:], uint64(ov.Shortcuts))
-	binary.LittleEndian.PutUint64(head[8:], uint64(len(ov.UpTo)))
-	binary.LittleEndian.PutUint64(head[16:], uint64(len(ov.DownFrom)))
-	return [][]byte{
-		head[:],
-		f64Bytes(ov.UpW), f64Bytes(ov.DownW),
-		i32Bytes(ov.Rank), i32Bytes(ov.Order),
-		i32Bytes(ov.UpOff), i32Bytes(ov.UpTo),
-		i32Bytes(ov.DownOff), i32Bytes(ov.DownFrom),
-	}
-}
-
 // ---------------------------------------------------------------------
 // Reader.
 
@@ -364,22 +339,21 @@ func binFail(msg string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrBadBinary, fmt.Sprintf(msg, args...))
 }
 
-// ReadBinary decodes a binary dataset from an in-memory file image,
-// returning the dataset and the embedded CH overlay (nil when the file
-// carries none). The large columns alias data directly — the caller must
+// ReadBinary decodes a binary dataset from an in-memory file image. The
+// large columns alias data directly — the caller must
 // keep data alive and unmodified for the dataset's lifetime (OpenBinary
 // guarantees this by never unmapping).
-func ReadBinary(data []byte) (*Dataset, *graph.CHOverlay, error) {
+func ReadBinary(data []byte) (*Dataset, error) {
 	if !hostLittleEndian {
-		return nil, nil, fmt.Errorf("%w: binary datasets require a little-endian host", ErrBadBinary)
+		return nil, fmt.Errorf("%w: binary datasets require a little-endian host", ErrBadBinary)
 	}
 	if len(data) < 52 || string(data[:8]) != BinaryMagic {
-		return nil, nil, binFail("missing magic")
+		return nil, binFail("missing magic")
 	}
 	body := data[:len(data)-4]
 	wantCRC := binary.LittleEndian.Uint32(data[len(data)-4:])
 	if got := crc32.Checksum(body, castagnoli); got != wantCRC {
-		return nil, nil, binFail("checksum mismatch: file %08x, computed %08x", wantCRC, got)
+		return nil, binFail("checksum mismatch: file %08x, computed %08x", wantCRC, got)
 	}
 
 	flags := binary.LittleEndian.Uint32(data[8:])
@@ -390,7 +364,7 @@ func ReadBinary(data []byte) (*Dataset, *graph.CHOverlay, error) {
 	numEdges := int(binary.LittleEndian.Uint64(data[40:]))
 	headerLen := 48 + 24*numSecs
 	if numV < 0 || numArcs < 0 || numCats < 0 || numSecs < 0 || headerLen > len(body) {
-		return nil, nil, binFail("corrupt header")
+		return nil, binFail("corrupt header")
 	}
 
 	r := &binReader{data: data, secs: make(map[uint32][]byte, numSecs)}
@@ -400,52 +374,52 @@ func ReadBinary(data []byte) (*Dataset, *graph.CHOverlay, error) {
 		off := binary.LittleEndian.Uint64(ent[8:])
 		length := binary.LittleEndian.Uint64(ent[16:])
 		if off%8 != 0 || off+length < off || off+length > uint64(len(body)) {
-			return nil, nil, binFail("section %d spans [%d,%d) outside file", id, off, off+length)
+			return nil, binFail("section %d spans [%d,%d) outside file", id, off, off+length)
 		}
 		r.secs[id] = data[off : off+length]
 	}
 
 	name, ok := r.secs[secName]
 	if !ok {
-		return nil, nil, binFail("missing name section")
+		return nil, binFail("missing name section")
 	}
 	forest, err := r.decodeTaxonomy(numCats)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	points, err := r.column(secPoints, numV*16, "points")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	offsets, err := r.column(secOffsets, (numV+1)*4, "offsets")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	targets, err := r.column(secTargets, numArcs*4, "targets")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	weights, err := r.column(secWeights, numArcs*8, "weights")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cat, err := r.column(secCat, numV*4, "categories")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for _, c := range viewI32(cat) {
 		if c < -1 || int(c) >= numCats {
-			return nil, nil, binFail("category id %d out of range", c)
+			return nil, binFail("category id %d out of range", c)
 		}
 	}
 	extraCats, err := r.decodeExtraCats(numV, numCats)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var tt *graph.TimeTable
 	if flags&flagTimeTable != 0 {
 		if tt, err = r.decodeTimeTable(numArcs); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 
@@ -461,28 +435,22 @@ func ReadBinary(data []byte) (*Dataset, *graph.CHOverlay, error) {
 		TT:        tt,
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrBadBinary, err)
+		return nil, fmt.Errorf("%w: %v", ErrBadBinary, err)
 	}
 	d, err := New(string(name), g, forest)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrBadBinary, err)
+		return nil, fmt.Errorf("%w: %v", ErrBadBinary, err)
 	}
 	if flags&flagRatings != 0 {
 		ratings, err := r.column(secRatings, numV*8, "ratings")
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		// Alias the mapped column directly; Rating never writes, and the
 		// checksum already vouched for the values.
 		d.ratings = viewF64(ratings)
 	}
-	var ov *graph.CHOverlay
-	if flags&flagCH != 0 {
-		if ov, err = r.decodeCH(numV, flags&flagDirected != 0); err != nil {
-			return nil, nil, err
-		}
-	}
-	return d, ov, nil
+	return d, nil
 }
 
 // column fetches a fixed-size raw section.
@@ -607,67 +575,6 @@ func (r *binReader) decodeTimeTable(numArcs int) (*graph.TimeTable, error) {
 	return tt, nil
 }
 
-func (r *binReader) decodeCH(numV int, directed bool) (*graph.CHOverlay, error) {
-	sec, ok := r.secs[secCH]
-	if !ok {
-		return nil, binFail("missing CH section")
-	}
-	if len(sec) < 24 {
-		return nil, binFail("truncated CH header")
-	}
-	shortcuts := int(binary.LittleEndian.Uint64(sec))
-	numUp := int(binary.LittleEndian.Uint64(sec[8:]))
-	numDown := int(binary.LittleEndian.Uint64(sec[16:]))
-	sec = sec[24:]
-	want := numUp*12 + numDown*12 + numV*8 + (numV+1)*8
-	if numUp < 0 || numDown < 0 || len(sec) != want {
-		return nil, binFail("CH section is %d payload bytes, want %d", len(sec), want)
-	}
-	take := func(n int) []byte {
-		b := sec[:n]
-		sec = sec[n:]
-		return b
-	}
-	ov := &graph.CHOverlay{NumV: numV, Directed: directed, Shortcuts: shortcuts}
-	ov.UpW = viewF64(take(numUp * 8))
-	ov.DownW = viewF64(take(numDown * 8))
-	ov.Rank = viewI32(take(numV * 4))
-	ov.Order = viewI32(take(numV * 4))
-	ov.UpOff = viewI32(take((numV + 1) * 4))
-	ov.UpTo = viewI32(take(numUp * 4))
-	ov.DownOff = viewI32(take((numV + 1) * 4))
-	ov.DownFrom = viewI32(take(numDown * 4))
-	for _, rk := range ov.Rank {
-		if rk < 0 || int(rk) >= numV {
-			return nil, binFail("CH rank %d out of range", rk)
-		}
-	}
-	if err := checkCSR(ov.UpOff, ov.UpTo, numV); err != nil {
-		return nil, fmt.Errorf("%w: CH up half: %v", ErrBadBinary, err)
-	}
-	if err := checkCSR(ov.DownOff, ov.DownFrom, numV); err != nil {
-		return nil, fmt.Errorf("%w: CH down half: %v", ErrBadBinary, err)
-	}
-	return ov, nil
-}
-
-func checkCSR(off, adj []int32, numV int) error {
-	if off[0] != 0 || int(off[numV]) != len(adj) {
-		return fmt.Errorf("offsets span [%d,%d], want [0,%d]", off[0], off[numV], len(adj))
-	}
-	for v := 0; v < numV; v++ {
-		if off[v] > off[v+1] {
-			return fmt.Errorf("offsets not monotone at %d", v)
-		}
-	}
-	for _, t := range adj {
-		if t < 0 || int(t) >= numV {
-			return fmt.Errorf("endpoint %d out of range", t)
-		}
-	}
-	return nil
-}
-
 // SniffBinaryFile reports whether path starts with the binary magic.
 func SniffBinaryFile(path string) (bool, error) {
 	f, err := os.Open(path)
@@ -682,15 +589,14 @@ func SniffBinaryFile(path string) (bool, error) {
 	return string(magic[:]) == BinaryMagic, nil
 }
 
-// OpenBinary memory-maps path and decodes it, returning the dataset and
-// the embedded CH overlay (nil when absent). The mapping is read-only
+// OpenBinary memory-maps path and decodes it. The mapping is read-only
 // and intentionally never unmapped: datasets live for the process, and
 // live updates copy-on-write every column they touch, so the mapped
 // pages stay valid behind every snapshot.
-func OpenBinary(path string) (*Dataset, *graph.CHOverlay, error) {
+func OpenBinary(path string) (*Dataset, error) {
 	data, err := mmapFile(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	return ReadBinary(data)
 }

@@ -2,14 +2,12 @@ package dataset
 
 import (
 	"bytes"
-	"context"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"skysr/internal/graph"
 )
 
 // textOf renders d in the canonical text format — the bit-exactness
@@ -25,18 +23,18 @@ func textOf(t *testing.T, d *Dataset) []byte {
 	return buf.Bytes()
 }
 
-// binaryTrip writes d (with the optional overlay) and reads it back.
-func binaryTrip(t *testing.T, d *Dataset, ov *graph.CHOverlay) (*Dataset, *graph.CHOverlay) {
+// binaryTrip writes d and reads it back.
+func binaryTrip(t *testing.T, d *Dataset) *Dataset {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, d, ov); err != nil {
+	if err := WriteBinary(&buf, d); err != nil {
 		t.Fatal(err)
 	}
-	got, gotOv, err := ReadBinary(buf.Bytes())
+	got, err := ReadBinary(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got, gotOv
+	return got
 }
 
 // checkBitExact compares the column-level state of two datasets
@@ -77,11 +75,7 @@ func checkBitExact(t *testing.T, want, got *Dataset) {
 
 func TestBinaryRoundTrip(t *testing.T) {
 	d, _, _ := fixture(t)
-	got, ov := binaryTrip(t, d, nil)
-	if ov != nil {
-		t.Fatal("overlay materialized from nothing")
-	}
-	checkBitExact(t, d, got)
+	checkBitExact(t, d, binaryTrip(t, d))
 }
 
 func TestBinaryRoundTripRatings(t *testing.T) {
@@ -95,7 +89,7 @@ func TestBinaryRoundTripRatings(t *testing.T) {
 	if err := d.SetRatings(ratings); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := binaryTrip(t, d, nil)
+	got := binaryTrip(t, d)
 	checkBitExact(t, d, got)
 	if r := got.Rating(verts["pAsian"]); r != 3.25 {
 		t.Fatalf("rating lost: %v", r)
@@ -113,13 +107,12 @@ func TestBinaryRoundTripDirected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := binaryTrip(t, dd, nil)
-	checkBitExact(t, dd, got)
+	checkBitExact(t, dd, binaryTrip(t, dd))
 }
 
 func TestBinaryRoundTripTimeProfiles(t *testing.T) {
 	d := tdFixture(t)
-	got, _ := binaryTrip(t, d, nil)
+	got := binaryTrip(t, d)
 	checkBitExact(t, d, got)
 	g := got.Graph
 	if !g.TimeVarying() || g.TimePeriod() != 100 {
@@ -140,44 +133,36 @@ func TestBinaryRoundTripTimeProfiles(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTripCH(t *testing.T) {
-	d, _, _ := fixture(t)
-	ov, err := graph.BuildCH(context.Background(), d.Graph, nil)
+// TestBinaryLegacyOverlayFile opens a file written while the format still
+// embedded a contraction-hierarchy overlay (flag bit 3, section 11). The
+// reader must ignore both and decode exactly the dataset of the file's
+// text twin, generated from the same preset, scale and seed.
+func TestBinaryLegacyOverlayFile(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy-ch.skysrb"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotOv := binaryTrip(t, d, ov)
-	checkBitExact(t, d, got)
-	if gotOv == nil {
-		t.Fatal("CH overlay lost")
+	if flags := binary.LittleEndian.Uint32(data[8:]); flags&(1<<3) == 0 {
+		t.Fatalf("fixture flags %#x lack the legacy overlay bit", flags)
 	}
-	if !gotOv.Matches(got.Graph) {
-		t.Fatal("restored overlay does not match restored graph")
-	}
-	if !reflect.DeepEqual(normOv(ov), normOv(gotOv)) {
-		t.Fatalf("overlay differs:\nwant %+v\ngot  %+v", ov, gotOv)
-	}
-}
-
-// normOv canonicalizes empty-vs-nil slices so DeepEqual compares values.
-func normOv(ov *graph.CHOverlay) graph.CHOverlay {
-	out := *ov
-	norm := func(s []int32) []int32 {
-		if len(s) == 0 {
-			return nil
+	hasOverlay := false
+	for i := 0; i < int(binary.LittleEndian.Uint32(data[12:])); i++ {
+		if binary.LittleEndian.Uint32(data[48+24*i:]) == 11 {
+			hasOverlay = true
 		}
-		return s
 	}
-	normF := func(s []float64) []float64 {
-		if len(s) == 0 {
-			return nil
-		}
-		return s
+	if !hasOverlay {
+		t.Fatal("fixture carries no legacy overlay section")
 	}
-	out.Rank, out.Order = norm(out.Rank), norm(out.Order)
-	out.UpOff, out.UpTo, out.UpW = norm(out.UpOff), norm(out.UpTo), normF(out.UpW)
-	out.DownOff, out.DownFrom, out.DownW = norm(out.DownOff), norm(out.DownFrom), normF(out.DownW)
-	return out
+	got, err := OpenBinary(filepath.Join("testdata", "legacy-ch.skysrb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ReadFile(filepath.Join("testdata", "legacy-ch.skysr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBitExact(t, want, got)
 }
 
 func TestBinaryFileAndSniff(t *testing.T) {
@@ -185,7 +170,7 @@ func TestBinaryFileAndSniff(t *testing.T) {
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "d.skysrb")
 	txt := filepath.Join(dir, "d.skysr")
-	if err := WriteBinaryFile(bin, d, nil); err != nil {
+	if err := WriteBinaryFile(bin, d); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteFile(txt, d); err != nil {
@@ -197,12 +182,9 @@ func TestBinaryFileAndSniff(t *testing.T) {
 			t.Fatalf("SniffBinaryFile(%s) = %v, %v; want %v", path, got, err, want)
 		}
 	}
-	got, ov, err := OpenBinary(bin)
+	got, err := OpenBinary(bin)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ov != nil {
-		t.Fatal("unexpected overlay")
 	}
 	checkBitExact(t, d, got)
 }
@@ -210,36 +192,36 @@ func TestBinaryFileAndSniff(t *testing.T) {
 func TestBinaryRejectsCorruption(t *testing.T) {
 	d, _, _ := fixture(t)
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, d, nil); err != nil {
+	if err := WriteBinary(&buf, d); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
 
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)/2] ^= 0x40
-	if _, _, err := ReadBinary(flipped); err == nil {
+	if _, err := ReadBinary(flipped); err == nil {
 		t.Fatal("corrupted image accepted")
 	}
-	if _, _, err := ReadBinary(good[:len(good)-10]); err == nil {
+	if _, err := ReadBinary(good[:len(good)-10]); err == nil {
 		t.Fatal("truncated image accepted")
 	}
-	if _, _, err := ReadBinary([]byte("SKYSRBD1")); err == nil {
+	if _, err := ReadBinary([]byte("SKYSRBD1")); err == nil {
 		t.Fatal("bare magic accepted")
 	}
-	if _, _, err := ReadBinary(nil); err == nil {
+	if _, err := ReadBinary(nil); err == nil {
 		t.Fatal("empty image accepted")
 	}
 }
 
 func TestBinaryOpenMissingFile(t *testing.T) {
-	if _, _, err := OpenBinary(filepath.Join(t.TempDir(), "nope")); err == nil {
+	if _, err := OpenBinary(filepath.Join(t.TempDir(), "nope")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 	empty := filepath.Join(t.TempDir(), "empty")
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenBinary(empty); err == nil {
+	if _, err := OpenBinary(empty); err == nil {
 		t.Fatal("empty file accepted")
 	}
 }

@@ -56,9 +56,8 @@ type Config struct {
 	// HighwayTiers, for GridModel, assigns road-class weight multipliers:
 	// every eighth lattice row/column becomes a secondary arterial (weight
 	// ×0.7) and the ShortcutFrac long-range edges become highways (weight
-	// ×0.4). The resulting weight hierarchy mimics OSM road classes and is
-	// what makes contraction hierarchies effective at scale; presets
-	// without the flag are bit-identical to their pre-tier output.
+	// ×0.4). The resulting weight hierarchy mimics OSM road classes;
+	// presets without the flag are bit-identical to their pre-tier output.
 	HighwayTiers bool
 
 	// PoIs is the number of PoIs to embed.

@@ -69,9 +69,8 @@ type CategoryDistances struct {
 	repaired   atomic.Int64
 	needRepair []bool
 
-	buildMu sync.Mutex // serializes builds; guards ws, chws and needRepair
+	buildMu sync.Mutex // serializes builds; guards ws and needRepair
 	ws      *dijkstra.Workspace
-	chws    *dijkstra.CH // PHAST row builds when a CH overlay is attached
 
 	hopMu sync.RWMutex // guards hops
 	hops  map[hopKey]float64
@@ -108,9 +107,8 @@ func New(d *dataset.Dataset, maxBytes int64) *CategoryDistances {
 	return ci
 }
 
-// Build returns an index with every tree-root row prewarmed — the per-tree
-// profile of earlier revisions, and the starting point of the category
-// profile (semantic-match rows are root rows).
+// Build returns an index with every tree-root row prewarmed: the
+// semantic-match rows every covered query reads.
 func Build(d *dataset.Dataset) *CategoryDistances {
 	ci := New(d, 0)
 	ci.EnsureRoots()
@@ -170,37 +168,11 @@ func (ci *CategoryDistances) rowBytes() int64 {
 	return int64(ci.d.Graph.NumVertices()) * 4
 }
 
-// SetCH attaches a contraction-hierarchy overlay of the dataset's graph:
-// subsequent row builds run the PHAST one-to-many sweep (dijkstra.CH.ToAll)
-// instead of a multi-source Dijkstra — linear passes over the overlay's
-// CSR halves, no priority queue over the full graph. Swept values are
-// admissible lower bounds rounded down exactly like Dijkstra-built rows
-// (they may differ in final ulps, which no consumer can observe: any
-// valid lower bound preserves exactness). A nil overlay detaches.
-func (ci *CategoryDistances) SetCH(ov *graph.CHOverlay) {
-	ci.buildMu.Lock()
-	defer ci.buildMu.Unlock()
-	if ov == nil {
-		ci.chws = nil
-		return
-	}
-	if ci.chws == nil || ci.chws.Overlay() != ov {
-		ci.chws = dijkstra.NewCH(ov)
-	}
-}
-
-// buildRowLocked computes the row for c: the PHAST sweep when a CH
-// overlay is attached, a multi-source Dijkstra otherwise. Callers hold
-// buildMu.
+// buildRowLocked computes the row for c with a multi-source Dijkstra.
+// Callers hold buildMu.
 func (ci *CategoryDistances) buildRowLocked(c taxonomy.CategoryID) Row {
 	row := make(Row, ci.d.Graph.NumVertices())
 	sources := ci.d.PoIsAssociated(c)
-	if len(sources) > 0 && ci.chws != nil {
-		// ToAll answers exactly the row's question — dist(v → nearest
-		// source) for every v — and already writes rounded-down float32.
-		ci.chws.ToAll(sources, row)
-		return row
-	}
 	inf := float32(math.Inf(1))
 	for i := range row {
 		row[i] = inf

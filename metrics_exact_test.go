@@ -86,7 +86,6 @@ func TestMetricsExactAcrossProfiles(t *testing.T) {
 	}{
 		{"plain", SearchOptions{}},
 		{"share-cache", SearchOptions{ShareCache: true}},
-		{"tree-index", SearchOptions{UseIndex: true}},
 		{"category-index", SearchOptions{UseCategoryIndex: true}},
 		{"category-index+cache", SearchOptions{UseCategoryIndex: true, ShareCache: true}},
 		{"top-k", SearchOptions{TopK: 4, UseCategoryIndex: true}},

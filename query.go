@@ -236,35 +236,19 @@ type SearchOptions struct {
 	// vertices); 0 means unlimited. BSSR ignores it (it does not need
 	// one).
 	Budget int64
-	// UseIndex enables the tree-index serving profile: the precomputed
-	// per-tree nearest-PoI distance rows (the §9 preprocessing extension,
-	// built lazily on first use and cached on the Engine) tighten BSSR's
-	// pruning on repeated queries over the same dataset. The per-query
-	// §5.3.3 lower-bound Dijkstras still run.
-	UseIndex bool
-	// UseCategoryIndex enables the category-index serving profile: per-
-	// category distance rows are built on demand (within the Engine's
-	// index memory budget, see ConfigureCategoryIndex) and, once a
-	// query's categories are covered, the §5.3.3 lower bounds and the
-	// expansion pruning radii come from index lookups instead of
-	// per-query Dijkstras. Answers are identical to a plain Search —
-	// every substituted bound is a proven lower bound — while median
-	// latency drops substantially on repeated-category workloads.
-	// Queries the index cannot cover (non-Category requirements, budget
-	// exhausted) transparently fall back to the per-query path.
+	// UseCategoryIndex selects the serving plan; the zero value is plain
+	// BSSR, the reference it must match. Per-category distance rows (the
+	// §9 preprocessing extension) are built on demand, within the
+	// Engine's index memory budget (see ConfigureCategoryIndex), and
+	// cached on the Engine. Once a query's categories are covered, the
+	// §5.3.3 lower bounds and the expansion pruning radii come from index
+	// lookups instead of per-query Dijkstras. Answers are identical to a
+	// plain Search — every substituted bound is a proven lower bound —
+	// while median latency drops substantially on repeated-category
+	// workloads. Queries the index cannot cover (non-Category
+	// requirements, budget exhausted) transparently fall back to the
+	// per-query path.
 	UseCategoryIndex bool
-	// UseCH enables the contraction-hierarchy serving profile: once
-	// Engine.WarmCH built the overlay (or Open adopted one from a binary
-	// dataset), destination legs are bounded by microsecond bidirectional
-	// CH queries instead of a full-graph reverse Dijkstra per query, and
-	// the category-index rows UseCH also turns on (it implies
-	// UseCategoryIndex) are built by the PHAST one-to-many sweep instead
-	// of full Dijkstra passes. Every substituted bound is a proven lower
-	// bound and surviving legs are re-priced exactly, so answers are
-	// byte-identical to a plain Search. Without a fresh overlay (never
-	// warmed, or marked stale by a live update) the option transparently
-	// falls back to the plain path.
-	UseCH bool
 	// TopK asks for ranked alternatives: the answer is the k-skyband of
 	// the achievable score points — every route with fewer than k
 	// score-distinct routes at least as short and at least as similar —
@@ -284,17 +268,14 @@ type SearchOptions struct {
 	// SearchAt is the convenience wrapper that sets this field. The naive
 	// baseline algorithms do not support time-dependent datasets.
 	DepartAt float64
-	// ShareCache switches the default BSSR algorithm to the Engine's
-	// multi-query serving profile: modified-Dijkstra results are reused
-	// across queries (one concurrency-safe cache per Similarity), the
-	// cached tree index stands in for the per-query §5.3.3 lower-bound
-	// precomputation (whose Dijkstras dominate per-query cost once the
-	// cache is warm), and UseIndex is implied. Every substitution is
-	// exactness-preserving, so answers are identical to a plain Search —
-	// only throughput changes. It pays off when a workload repeats
-	// categories, which is why SearchBatch enables it for every query it
-	// runs; it has no effect on BSSRNoOpt (a pure ablation) or the naive
-	// baselines.
+	// ShareCache layers the Engine's cross-query modified-Dijkstra cache
+	// (one concurrency-safe cache per Similarity) on top of the serving
+	// plan, which it implies: UseCategoryIndex is turned on with it.
+	// Cached results are exactness-preserving, so answers are identical
+	// to a plain Search — only throughput changes. It pays off when a
+	// workload repeats categories, which is why SearchBatch enables it
+	// for every query it runs; it has no effect on BSSRNoOpt (a pure
+	// ablation) or the naive baselines.
 	ShareCache bool
 	// Context, when non-nil, cancels the search: the BSSR expansion loops
 	// observe it on an amortized schedule (every search start and every
@@ -533,30 +514,12 @@ func (e *Engine) searchOn(sn *snapshot, q Query, opts SearchOptions) (*Answer, e
 		if sp := trace.SpanFromContext(opts.Context); sp != nil {
 			copts.Span = sp
 		}
-		if opts.UseIndex || opts.UseCategoryIndex {
+		shared := opts.ShareCache && opts.Algorithm == BSSR
+		if opts.UseCategoryIndex || shared {
 			copts.Index = e.categoryIndex(sn)
-			copts.IndexCategories = opts.UseCategoryIndex
 		}
-		if opts.UseCH {
-			if ov := e.chOverlay(sn); ov != nil {
-				copts.CH = ov
-				// The CH profile implies the category-index profile: the
-				// overlay accelerates the index's row builds (PHAST), and
-				// the rows in turn replace the per-query lower-bound and
-				// radius Dijkstras — the two halves of the speedup.
-				copts.Index = e.categoryIndex(sn)
-				copts.IndexCategories = true
-			}
-		}
-		if opts.ShareCache && opts.Algorithm == BSSR {
+		if shared {
 			copts.Shared = e.shared[opts.Similarity]
-			copts.Index = e.categoryIndex(sn)
-			if !opts.UseCategoryIndex {
-				// The PR-1 batch profile: the tree rows stand in for the
-				// per-query §5.3.3 bounds entirely. With the category
-				// index the bounds are nearly free, so they stay on.
-				copts.LowerBounds = false
-			}
 		}
 		s := sn.pool.Get(sim, copts)
 		defer sn.pool.Put(s)

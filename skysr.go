@@ -73,7 +73,6 @@
 package skysr
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -167,18 +166,6 @@ type snapshot struct {
 	idxMu     sync.Mutex
 	idx       *index.CategoryDistances
 	idxLoaded bool // idx was loaded from a sidecar rather than built
-
-	// chMu guards ch and chStale. ch is the snapshot's contraction-
-	// hierarchy overlay (WarmCH, or adopted from a binary dataset);
-	// chStale marks an overlay carried across an update that may have
-	// shortened distances — its bounds are no longer admissible, so UseCH
-	// queries fall back to the plain path until WarmCH rebuilds it.
-	// Weight increases, removals and profile edits that keep the
-	// lower-bound weight carry the overlay live: old distances are lower
-	// bounds of the new ones, which is all the serving paths need.
-	chMu    sync.Mutex
-	ch      *graph.CHOverlay
-	chStale bool
 }
 
 // newSnapshot wraps a dataset version. The caller owns installing it.
@@ -223,9 +210,6 @@ func (sn *snapshot) release() {
 		sn.idxMu.Lock()
 		sn.idx = nil
 		sn.idxMu.Unlock()
-		sn.chMu.Lock()
-		sn.ch = nil
-		sn.chMu.Unlock()
 	}
 }
 
@@ -351,87 +335,6 @@ func (e *Engine) CategoryIndexStats() CategoryIndexStats {
 	}
 }
 
-// CHStats describes the engine's contraction-hierarchy overlay state.
-type CHStats struct {
-	// Built reports that the current snapshot holds an overlay (fresh or
-	// stale).
-	Built bool
-	// Stale reports that the overlay was carried across an update that
-	// may have shortened distances; UseCH queries fall back to the plain
-	// path until WarmCH rebuilds it.
-	Stale bool
-	// Shortcuts is the number of shortcut arcs the build inserted.
-	Shortcuts int
-	// Vertices is the vertex count the overlay was built for.
-	Vertices int
-	// MemoryBytes estimates the overlay's resident size.
-	MemoryBytes int64
-}
-
-// chSnapshot reads the snapshot's overlay state under its lock.
-func (sn *snapshot) chSnapshot() (*graph.CHOverlay, bool) {
-	sn.chMu.Lock()
-	defer sn.chMu.Unlock()
-	return sn.ch, sn.chStale
-}
-
-// chOverlay returns the snapshot's overlay when it is usable for serving
-// (present and not stale), also making sure the category index builds its
-// rows through it (the PHAST one-to-many sweep) from now on.
-func (e *Engine) chOverlay(sn *snapshot) *graph.CHOverlay {
-	ov, stale := sn.chSnapshot()
-	if ov == nil || stale {
-		return nil
-	}
-	e.categoryIndex(sn).SetCH(ov)
-	return ov
-}
-
-// WarmCH builds the contraction-hierarchy overlay for the current dataset
-// version, enabling the SearchOptions.UseCH serving profile. The build
-// (node ordering plus shortcut insertion over the lower-bound weights)
-// runs once and is kept on the snapshot; live updates that can only grow
-// distances carry it, others mark it stale until the next WarmCH. A fresh
-// overlay short-circuits to the existing one. ctx cancels the build;
-// progress, when non-nil, observes (contracted, total) roughly every
-// thousand contractions.
-func (e *Engine) WarmCH(ctx context.Context, progress func(done, total int)) (CHStats, error) {
-	sn := e.pin()
-	defer sn.release()
-	if ov, stale := sn.chSnapshot(); ov != nil && !stale {
-		return e.chStatsOf(ov, false), nil
-	}
-	ov, err := graph.BuildCH(ctx, sn.ds.Graph, progress)
-	if err != nil {
-		return CHStats{}, err
-	}
-	sn.chMu.Lock()
-	sn.ch = ov
-	sn.chStale = false
-	sn.chMu.Unlock()
-	e.categoryIndex(sn).SetCH(ov)
-	return e.chStatsOf(ov, false), nil
-}
-
-// CHInfo reports the overlay state of the current snapshot.
-func (e *Engine) CHInfo() CHStats {
-	ov, stale := e.snap().chSnapshot()
-	if ov == nil {
-		return CHStats{}
-	}
-	return e.chStatsOf(ov, stale)
-}
-
-func (e *Engine) chStatsOf(ov *graph.CHOverlay, stale bool) CHStats {
-	return CHStats{
-		Built:       true,
-		Stale:       stale,
-		Shortcuts:   ov.NumShortcuts(),
-		Vertices:    ov.NumVertices(),
-		MemoryBytes: ov.MemoryFootprintBytes(),
-	}
-}
-
 // IndexSidecarPath returns the sidecar file path Save and Open use for the
 // category index of a dataset stored at path.
 func IndexSidecarPath(path string) string { return path + ".cidx" }
@@ -472,26 +375,20 @@ type Dataset struct {
 // Open loads a dataset from a file in either skysr format, sniffing the
 // first bytes: the binary format (SaveBinary, skysr-gen -binary) is
 // memory-mapped and served zero-copy — cold starts skip the text parse
-// entirely, and an embedded contraction-hierarchy overlay is adopted so
-// UseCH works without a WarmCH — while the text format (Save, skysr-gen)
-// is parsed as before. Either way, a matching index sidecar
-// (IndexSidecarPath) written by Save or SaveIndex next to the dataset is
-// loaded so the category-index rebuild is skipped; a missing or stale
-// sidecar is ignored.
+// entirely — while the text format (Save, skysr-gen) is parsed as
+// before. Either way, a matching index sidecar (IndexSidecarPath) written
+// by Save or SaveIndex next to the dataset is loaded so the category-index
+// rebuild is skipped; a missing or stale sidecar is ignored.
 func Open(path string) (*Engine, error) {
 	if bin, err := dataset.SniffBinaryFile(path); err != nil {
 		return nil, err
 	} else if bin {
-		ds, ov, err := dataset.OpenBinary(path)
+		ds, err := dataset.OpenBinary(path)
 		if err != nil {
 			return nil, err
 		}
 		e := newEngine(ds)
-		sn := e.snap()
-		if ov != nil {
-			sn.ch = ov // pre-publication: no lock needed yet
-		}
-		sn.loadIndexSidecar(path, e.idxBudget.Load())
+		e.snap().loadIndexSidecar(path, e.idxBudget.Load())
 		return e, nil
 	}
 	ds, err := dataset.ReadFile(path)
@@ -540,18 +437,11 @@ func (e *Engine) Write(w io.Writer) error {
 
 // SaveBinary writes the engine's dataset to a file in the binary format:
 // a sectioned, checksummed container Open memory-maps and serves without
-// parsing. When the snapshot holds a fresh contraction-hierarchy overlay
-// (WarmCH), it is embedded too, so the opening engine serves UseCH
-// immediately; a stale overlay is omitted rather than persisted. Dataset
-// and overlay are taken from one pinned snapshot.
+// parsing.
 func (e *Engine) SaveBinary(path string) error {
 	sn := e.pin()
 	defer sn.release()
-	ov, stale := sn.chSnapshot()
-	if stale {
-		ov = nil
-	}
-	return dataset.WriteBinaryFile(path, sn.ds, ov)
+	return dataset.WriteBinaryFile(path, sn.ds)
 }
 
 // Generate builds a synthetic city dataset. Preset is "tokyo", "nyc" or
@@ -652,8 +542,8 @@ func (e *Engine) Categories() []string {
 	return out
 }
 
-// RootCategories returns the name of every tree root — the categories the
-// tree-index profile reads.
+// RootCategories returns the name of every tree root — the categories
+// whose index rows bound semantic matches.
 func (e *Engine) RootCategories() []string {
 	f := e.snap().ds.Forest
 	roots := f.Roots()

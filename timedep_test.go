@@ -44,7 +44,6 @@ func constantProfileBatch(eng *Engine) *UpdateBatch {
 var timedepProfiles = map[string]SearchOptions{
 	"plain":          {},
 	"share-cache":    {ShareCache: true},
-	"tree-index":     {UseIndex: true},
 	"category-index": {UseCategoryIndex: true},
 }
 

@@ -13,12 +13,11 @@ import (
 )
 
 // topKProfiles are the serving profiles the top-k satellites verify:
-// plain, ShareCache, tree-index and category-index.
+// plain, ShareCache and category-index.
 func topKProfiles() map[string]SearchOptions {
 	return map[string]SearchOptions{
 		"plain":          {},
 		"share-cache":    {ShareCache: true},
-		"tree-index":     {UseIndex: true},
 		"category-index": {UseCategoryIndex: true},
 	}
 }

@@ -155,12 +155,6 @@ type UpdateResult struct {
 	// epoch; RowsDirtied counts resident rows invalidated by the batch,
 	// which rebuild lazily the next time a query needs them.
 	RowsCarried, RowsDirtied int
-	// CHCarried reports that the contraction-hierarchy overlay survived
-	// the batch as a live lower bound (the batch could only grow
-	// distances); CHStaled reports it was marked stale instead — UseCH
-	// queries fall back to the plain path until Engine.WarmCH rebuilds
-	// it. Both are false when no overlay was built.
-	CHCarried, CHStaled bool
 }
 
 // compile validates the batch against ds and lowers it to graph edits plus
@@ -330,23 +324,6 @@ func (e *Engine) ApplyUpdates(b *UpdateBatch) (*UpdateResult, error) {
 		res.RowsCarried = st.RowsCarried
 		res.RowsDirtied = evolved.PendingRepairs()
 		next.idx = evolved
-	}
-	// Carry the CH overlay when the batch provably cannot shorten any
-	// distance: weight increases, profile edits keeping the lower-bound
-	// weight, and PoI edits leave old CH distances valid lower bounds of
-	// the new ones — exactly what the UseCH paths consume. A batch that
-	// may shrink a distance (dirty.All) or changes the arc structure
-	// voids that guarantee; the overlay rides along stale so WarmCH knows
-	// a rebuild is due, and serving ignores it meanwhile.
-	oldCH, oldStale := sn.chSnapshot()
-	if oldCH != nil {
-		next.ch = oldCH
-		next.chStale = oldStale || dirty.All || edits.Structural()
-		res.CHCarried = !next.chStale
-		res.CHStaled = next.chStale
-		if !next.chStale && next.idx != nil {
-			next.idx.SetCH(oldCH)
-		}
 	}
 	res.Epoch = next.epoch
 

@@ -15,7 +15,6 @@ import (
 // sweep; exactness must survive updates under every one of them.
 var updateProfiles = map[string]SearchOptions{
 	"baseline":       {},
-	"tree-index":     {UseIndex: true},
 	"category-index": {UseCategoryIndex: true},
 	"share-cache":    {ShareCache: true},
 }
