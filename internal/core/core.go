@@ -113,11 +113,6 @@ type Options struct {
 	// false for normal use.
 	DisablePathFilter bool
 
-	// Trace, when non-nil, observes search events (pops, prunes, skyline
-	// updates). Intended for debugging and the trace-level tests; adds
-	// overhead when set.
-	Trace func(Event)
-
 	// Span, when non-nil, is the parent span the query attaches its
 	// explain tree to (tracespan.go): one "search" child span annotated
 	// with the run's totals, beneath it one synthesized span per search
@@ -469,7 +464,6 @@ func (s *Searcher) query(start graph.VertexID, seq route.Sequence, dest graph.Ve
 		}
 		r := qb.Pop()
 		s.stats.RoutesPopped++
-		s.emit(EventPop, r)
 		lg := s.legHook(r.Size())
 		if lg != nil {
 			lg.popped++
@@ -481,7 +475,6 @@ func (s *Searcher) query(start graph.VertexID, seq route.Sequence, dest graph.Ve
 			if lg != nil {
 				lg.prunedThreshold++
 			}
-			s.emit(EventPruneThreshold, r)
 			continue
 		}
 		s.noteTopKPop(r)
@@ -490,7 +483,6 @@ func (s *Searcher) query(start graph.VertexID, seq route.Sequence, dest graph.Ve
 			if lg != nil {
 				lg.prunedDest++
 			}
-			s.emit(EventPruneThreshold, r)
 			continue
 		}
 		if s.idxRows.any && s.pruneByIndex(r) {
@@ -498,7 +490,6 @@ func (s *Searcher) query(start graph.VertexID, seq route.Sequence, dest graph.Ve
 			if lg != nil {
 				lg.prunedIndex++
 			}
-			s.emit(EventPruneIndex, r)
 			continue
 		}
 		if s.bounds != nil && s.bounds.prune(r, s.sky, s.scorer) {
@@ -506,7 +497,6 @@ func (s *Searcher) query(start graph.VertexID, seq route.Sequence, dest graph.Ve
 			if lg != nil {
 				lg.prunedBounds++
 			}
-			s.emit(EventPruneBounds, r)
 			continue
 		}
 		from := r.Last()
@@ -609,11 +599,7 @@ func (s *Searcher) expand(r *route.Route, from graph.VertexID, qb *pq.Heap[*rout
 			continue
 		}
 		if complete {
-			if s.sky.Update(rt) {
-				s.emit(EventSkylineUpdate, rt)
-			} else {
-				s.emit(EventSkylineReject, rt)
-			}
+			s.sky.Update(rt)
 		} else {
 			// Enqueue-time forms of the destination and index prunes: a
 			// route either bound already condemns would be pruned at pop
@@ -624,7 +610,6 @@ func (s *Searcher) expand(r *route.Route, from graph.VertexID, qb *pq.Heap[*rout
 				if lg := s.legHook(rt.Size()); lg != nil {
 					lg.prunedDest++
 				}
-				s.emit(EventPruneThreshold, rt)
 				continue
 			}
 			if s.idxRows.any && s.pruneByIndex(rt) {
@@ -632,7 +617,6 @@ func (s *Searcher) expand(r *route.Route, from graph.VertexID, qb *pq.Heap[*rout
 				if lg := s.legHook(rt.Size()); lg != nil {
 					lg.prunedIndex++
 				}
-				s.emit(EventPruneIndex, rt)
 				continue
 			}
 			qb.Push(rt)
@@ -640,7 +624,6 @@ func (s *Searcher) expand(r *route.Route, from graph.VertexID, qb *pq.Heap[*rout
 			if lg := s.legHook(rt.Size() - 1); lg != nil {
 				lg.enqueued++
 			}
-			s.emit(EventEnqueue, rt)
 			if qb.Len() > s.stats.PeakQueueLen {
 				s.stats.PeakQueueLen = qb.Len()
 			}

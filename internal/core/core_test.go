@@ -232,6 +232,13 @@ func TestBSSRPaperExample(t *testing.T) {
 	if math.Abs(res.Stats.PerfectBound-3) > 1e-9 {
 		t.Errorf("Σlp = %v, want 3 (see PaperExample doc)", res.Stats.PerfectBound)
 	}
+	// Table 4 steps 6 and 9 drop fetched routes on the Eq. 3 threshold.
+	if res.Stats.PrunedThreshold == 0 {
+		t.Error("PrunedThreshold = 0, want threshold prunes on the Table 4 trace")
+	}
+	if res.Stats.Results != 2 {
+		t.Errorf("Results = %d, want 2", res.Stats.Results)
+	}
 }
 
 func TestBSSRPaperExampleAllVariants(t *testing.T) {

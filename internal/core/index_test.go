@@ -1,9 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
+	"skysr/internal/faults"
 	"skysr/internal/gen"
 	"skysr/internal/graph"
 	"skysr/internal/index"
@@ -213,91 +218,39 @@ func TestPathFilterAblationPreservesExactness(t *testing.T) {
 	}
 }
 
-func TestTraceEventsPaperExample(t *testing.T) {
-	ds, vq, cats := gen.PaperExample()
-	var events []Event
-	opts := DefaultOptions()
-	opts.Trace = func(e Event) { events = append(events, e) }
-	s := NewSearcher(ds, ds.Forest.WuPalmer, opts)
-	res, err := s.QueryCategories(vq, cats...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) == 0 {
-		t.Fatal("no events emitted")
-	}
-	counts := map[EventKind]int{}
-	for _, e := range events {
-		counts[e.Kind]++
-	}
-	// The trace must be consistent with the stats.
-	if int64(counts[EventPop]) != res.Stats.RoutesPopped {
-		t.Errorf("pop events %d != RoutesPopped %d", counts[EventPop], res.Stats.RoutesPopped)
-	}
-	if int64(counts[EventEnqueue]) != res.Stats.RoutesEnqueued {
-		t.Errorf("enqueue events %d != RoutesEnqueued %d", counts[EventEnqueue], res.Stats.RoutesEnqueued)
-	}
-	if int64(counts[EventMDijkstraRun]) != res.Stats.MDijkstraRuns {
-		t.Errorf("run events %d != MDijkstraRuns %d", counts[EventMDijkstraRun], res.Stats.MDijkstraRuns)
-	}
-	if int64(counts[EventCacheHit]) != res.Stats.CacheHits {
-		t.Errorf("cache events %d != CacheHits %d", counts[EventCacheHit], res.Stats.CacheHits)
-	}
-	if int64(counts[EventPruneThreshold]) != res.Stats.PrunedThreshold {
-		t.Errorf("prune events %d != PrunedThreshold %d", counts[EventPruneThreshold], res.Stats.PrunedThreshold)
-	}
-	// Table 4's trace has pruned fetches (steps 6, 9 and 12's route died
-	// earlier or at fetch): at least one threshold prune must fire.
-	if counts[EventPruneThreshold] == 0 {
-		t.Error("expected threshold prunes on the Table 4 trace")
-	}
-	// Exactly 2 accepted skyline updates survive to the final S... more
-	// may be accepted then evicted; but at least the 2 winners were
-	// accepted.
-	if counts[EventSkylineUpdate] < 2 {
-		t.Errorf("skyline updates = %d, want ≥ 2", counts[EventSkylineUpdate])
-	}
-	// Event kinds render.
-	for k := EventPop; k <= EventCacheHit; k++ {
-		if k.String() == "" {
-			t.Errorf("event kind %d has no name", k)
-		}
-	}
-	if EventKind(99).String() == "" {
-		t.Error("unknown kind should render")
-	}
-}
-
 // TestTable4SkylineEvolution follows the skyline set through the Table 4
 // trace: ⟨p10,p12,p13⟩ must evict ⟨p2,p5,p8⟩ (step 5), ⟨p1,p9,p8⟩ must
 // evict ⟨p2,p5,p7⟩ (step 8), and ⟨p6,p9,p8⟩ must evict ⟨p1,p9,p8⟩
-// (step 11).
+// (step 11). The route-pop fault seam snapshots S before every fetch, so
+// each step's change shows up at the next pop or in the final answer.
 func TestTable4SkylineEvolution(t *testing.T) {
 	ds, vq, cats := gen.PaperExample()
-	var accepted [][]graph.VertexID
-	opts := DefaultOptions()
-	opts.Trace = func(e Event) {
-		if e.Kind == EventSkylineUpdate {
-			accepted = append(accepted, e.Route.PoIs())
+	s := NewSearcher(ds, ds.Forest.WuPalmer, DefaultOptions())
+	var states []string
+	observe := func(routes []*route.Route) {
+		keys := make([]string, len(routes))
+		for i, r := range routes {
+			keys[i] = fmt.Sprint(r.PoIs())
+		}
+		sort.Strings(keys)
+		if st := strings.Join(keys, " "); len(states) == 0 || states[len(states)-1] != st {
+			states = append(states, st)
 		}
 	}
-	s := NewSearcher(ds, ds.Forest.WuPalmer, opts)
-	if _, err := s.QueryCategories(vq, cats...); err != nil {
+	restore := faults.Set(faults.RoutePop, func(int64) { observe(s.sky.Routes()) })
+	res, err := s.QueryCategories(vq, cats...)
+	restore()
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := [][]graph.VertexID{
-		{10, 12, 13}, // step 5
-		{1, 9, 8},    // step 8
-		{6, 9, 8},    // step 11
+	observe(res.Routes)
+	want := []string{
+		"[2 5 7] [2 5 8]",    // NNinit seeds (Example 5.6)
+		"[10 12 13] [2 5 7]", // step 5
+		"[1 9 8] [10 12 13]", // step 8
+		"[10 12 13] [6 9 8]", // step 11
 	}
-	if len(accepted) != len(want) {
-		t.Fatalf("accepted sequence %v, want %v", accepted, want)
-	}
-	for i := range want {
-		for j := range want[i] {
-			if accepted[i][j] != want[i][j] {
-				t.Fatalf("accepted sequence %v, want %v", accepted, want)
-			}
-		}
+	if !slices.Equal(states, want) {
+		t.Fatalf("skyline states %q, want %q", states, want)
 	}
 }

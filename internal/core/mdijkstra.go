@@ -102,7 +102,6 @@ func (s *Searcher) nextPoIs(r *route.Route, from graph.VertexID) []candidate {
 			if lg := s.legHook(pos); lg != nil {
 				lg.cacheHits++
 			}
-			s.emit(EventCacheHit, nil)
 			return e.items
 		}
 		e := s.sharedOrRun(from, pos, radius, destLim, depart)
@@ -145,7 +144,6 @@ func (s *Searcher) sharedOrRun(from graph.VertexID, pos int, radius, destLim, de
 		if lg := s.legHook(pos); lg != nil {
 			lg.sharedHits++
 		}
-		s.emit(EventCacheHit, nil)
 		return e
 	}
 	e := s.runMDijkstra(from, pos, radius, destLim, depart)
@@ -246,7 +244,6 @@ func (s *Searcher) runMDijkstra(from graph.VertexID, pos int, radius, destLim, d
 			}
 		}
 	}()
-	s.emit(EventMDijkstraRun, nil)
 	// The fault hook fires before the checkpoint so a hook that cancels a
 	// context is observed within this very run, keeping cancellation
 	// deterministic on graphs far smaller than the check stride.

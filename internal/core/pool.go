@@ -76,7 +76,6 @@ func (s *Searcher) clearTransient() {
 	s.destDist = nil
 	s.posTree = nil
 	s.stats = Stats{}
-	s.opts.Trace = nil
 	s.opts.Shared = nil
 	s.opts.Index = nil
 	s.opts.Context = nil

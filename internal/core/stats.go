@@ -49,7 +49,7 @@ type Stats struct {
 	PerfectBound    float64 // Σ lp[i] over all hops
 	PrunedByBounds  int64   // routes dropped by §5.3.3 pruning
 	PrunedThreshold int64   // routes dropped by the Eq. 3 threshold at pop
-	PrunedByIndex   int64   // routes dropped by the tree-distance index
+	PrunedByIndex   int64   // routes dropped by category-index rows (pruneByIndex)
 	PrunedByDest    int64   // routes dropped by the destination-distance bound (pruneByDest)
 
 	// Destination leg (§6 "SkySR with destination"): DestLegRuns counts
