@@ -103,3 +103,22 @@ func TestCacheRadiusReRun(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreCacheRunningBytes: after every store, including replacements
+// of an existing key, the running byte total equals the sum over the
+// cache's entries, and the peak is the largest such sum.
+func TestStoreCacheRunningBytes(t *testing.T) {
+	s := &Searcher{cache: map[cacheKey]*cacheEntry{}}
+	var peak int64
+	for i, n := range []int{3, 5, 1, 0, 7, 2} {
+		s.storeCache(cacheKey{from: graph.VertexID(i % 2)}, &cacheEntry{items: make([]candidate, n)})
+		var sum int64
+		for _, e := range s.cache {
+			sum += e.bytes()
+		}
+		peak = max(peak, sum)
+		if s.cacheBytes != sum || s.stats.PeakCacheBytes != peak {
+			t.Fatalf("store %d: running %d, peak %d; want %d, %d", i, s.cacheBytes, s.stats.PeakCacheBytes, sum, peak)
+		}
+	}
+}

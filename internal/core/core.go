@@ -207,17 +207,18 @@ type Searcher struct {
 	ws   *dijkstra.Workspace
 
 	// Per-query state.
-	seq      route.Sequence
-	scorer   route.Scorer
-	sky      resultSet
-	stats    Stats
-	cache    map[cacheKey]*cacheEntry
-	bounds   *bounds
-	destDist []float64         // distance from each vertex to the destination; nil when no destination
-	posTree  []taxonomy.TreeID // per-position category tree, -1 for non-Category matchers
-	idxRows  indexRows         // per-position index rows resolved for this query
-	md       *mdWorkspace      // reusable modified-Dijkstra arrays, lazily sized
-	scr      *boundsScratch    // epoch-stamped §5.3.3 scratch arrays, lazily sized
+	seq        route.Sequence
+	scorer     route.Scorer
+	sky        resultSet
+	stats      Stats
+	cache      map[cacheKey]*cacheEntry
+	cacheBytes int64 // running size of the query's on-the-fly cache (Stats.PeakCacheBytes)
+	bounds     *bounds
+	destDist   []float64         // distance from each vertex to the destination; nil when no destination
+	posTree    []taxonomy.TreeID // per-position category tree, -1 for non-Category matchers
+	idxRows    indexRows         // per-position index rows resolved for this query
+	md         *mdWorkspace      // reusable modified-Dijkstra arrays, lazily sized
+	scr        *boundsScratch    // epoch-stamped §5.3.3 scratch arrays, lazily sized
 
 	// Cost-metric state (initMetric). td is true when the dataset carries
 	// time-dependent profiles; depart is the query's departure time;
@@ -423,6 +424,7 @@ func (s *Searcher) query(start graph.VertexID, seq route.Sequence, dest graph.Ve
 	s.sky = s.newResultSet()
 	s.stats = Stats{InitPerfectL: math.Inf(1), TopK: k}
 	s.cache = nil
+	s.cacheBytes = 0
 	if s.opts.Caching {
 		s.cache = make(map[cacheKey]*cacheEntry)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"skysr/internal/gen"
@@ -10,6 +11,7 @@ import (
 	"skysr/internal/osr"
 	"skysr/internal/route"
 	"skysr/internal/taxonomy"
+	"skysr/internal/topk"
 )
 
 func TestUnorderedMatchesBruteForce(t *testing.T) {
@@ -31,6 +33,198 @@ func TestUnorderedMatchesBruteForce(t *testing.T) {
 				t.Fatalf("trial %d %s: unordered mismatch\ngot:  %v\nwant: %v",
 					trial, name, res.Routes, want.Routes())
 			}
+		}
+	}
+
+	// Three positions, so masks with two open positions share one sweep
+	// entry; directed graphs; repeated categories; and a start vertex that
+	// is itself a matching PoI, swept both as the query origin (where it
+	// is a candidate) and as a later route's end (where it is not).
+	// Dyadic weights make every length sum exact, so the top-k band and
+	// the Caching on/off comparison demand identical score points.
+	for trial := 0; trial < 24; trial++ {
+		d := dyadicDataset(rng, f, 16, 12, trial%2 == 1, 0)
+		cats := pickCats(rng, f, 3)
+		if trial%3 == 1 {
+			cats[2] = cats[0]
+		}
+		start := graph.VertexID(rng.Intn(16))
+		if trial%4 >= 2 {
+			pois := d.Graph.PoIVertices()
+			start = pois[rng.Intn(len(pois))]
+			cats[1] = d.Graph.Categories(start)[0]
+		}
+		seq := route.NewCategorySequence(f, f.WuPalmer, cats...)
+		want := osr.BruteForceUnordered(d, start, seq, route.AggProduct)
+		points := map[bool][]topk.Point{}
+		for name, opts := range optionVariants() {
+			res, err := NewSearcher(d, f.WuPalmer, opts).QueryUnordered(start, seq)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !sameSkyline(res.Routes, want) {
+				t.Fatalf("trial %d %s (cats %v, start %d): unordered mismatch\ngot:  %v\nwant: %v",
+					trial, name, cats, start, res.Routes, want.Routes())
+			}
+			if name == "all" || name == "no-cache" {
+				points[opts.Caching] = routePoints(res.Routes)
+			}
+		}
+		if !reflect.DeepEqual(points[true], points[false]) {
+			t.Fatalf("trial %d: Caching on %v, off %v", trial, points[true], points[false])
+		}
+
+		// Top-k: the band over every visit order's achieved points.
+		var all []topk.Point
+		for _, p := range permutations(len(cats)) {
+			order := make([]taxonomy.CategoryID, len(p))
+			for i, j := range p {
+				order[i] = cats[j]
+			}
+			permSeq := route.NewCategorySequence(f, f.WuPalmer, order...)
+			all = append(all, topk.BruteForce(d, start, permSeq, 2, route.AggProduct, graph.NoVertex)...)
+		}
+		opts := DefaultOptions()
+		opts.TopK = 2
+		res, err := NewSearcher(d, f.WuPalmer, opts).QueryUnordered(start, seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, band := routePoints(res.Routes), topk.Band(all, 2); !reflect.DeepEqual(got, band) {
+			t.Fatalf("trial %d top-2: points %v, want %v", trial, got, band)
+		}
+		for _, r := range res.Routes {
+			if r.Size() != len(seq) {
+				t.Fatalf("trial %d top-2: route %v visits %d PoIs, want one per position", trial, r, r.Size())
+			}
+		}
+	}
+}
+
+// routePoints returns the routes' score points.
+func routePoints(routes []*route.Route) []topk.Point {
+	var out []topk.Point
+	for _, r := range routes {
+		out = append(out, topk.Point{Length: r.Length(), Semantic: r.Semantic()})
+	}
+	return out
+}
+
+// permutations returns every ordering of 0..n-1.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{nil}
+	}
+	var out [][]int
+	for _, p := range permutations(n - 1) {
+		for i := 0; i <= len(p); i++ {
+			q := append(append(append([]int(nil), p[:i]...), n-1), p[i:]...)
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// TestUnorderedSweepRadiusReRun drives unorderedNext directly on a line
+// graph: a request beyond the cached entry's radius re-runs the sweep and
+// replaces the entry with the complete, larger candidate set, and a
+// smaller request is then served from it, cut at its own radius.
+func TestUnorderedSweepRadiusReRun(t *testing.T) {
+	fb := taxonomy.NewForestBuilder()
+	a := fb.MustAddRoot("A")
+	b := fb.MustAddRoot("B")
+	f := fb.Build()
+	// v0 ─1─ p1(A) ─1─ p2(B) ─1─ p3(A) ─1─ p4(B)
+	gb := graph.NewBuilder(false)
+	v0 := gb.AddVertex(geoPoint(0))
+	prev := v0
+	var pois []graph.VertexID
+	for i, c := range []taxonomy.CategoryID{a, b, a, b} {
+		p := gb.AddPoI(geoPoint(float64(i+1)), c)
+		gb.AddEdge(prev, p, 1)
+		pois = append(pois, p)
+		prev = p
+	}
+	d := mustDataset(t, gb, f)
+	seq := route.NewCategorySequence(f, f.WuPalmer, a, b)
+
+	s := NewSearcher(d, f.WuPalmer, DefaultOptions())
+	if err := s.initMetric(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.initCancel(); err != nil {
+		t.Fatal(err)
+	}
+	s.seq = seq
+	s.scorer = route.NewScorer(s.opts.Aggregation, len(seq))
+	empty := route.Empty(s.scorer)
+	cache := map[unorderedKey]*unorderedEntry{}
+	// request sets the start route's radius to l̄ = radius by seeding the
+	// result set with one perfect route of that length.
+	request := func(radius float64) []unorderedCand {
+		s.sky = s.newResultSet()
+		s.sky.Update(empty.Extend(s.scorer, pois[0], radius, 1).Extend(s.scorer, pois[1], 0, 1))
+		return s.unorderedNext(empty, v0, cache)
+	}
+	want := func(n int) []unorderedCand {
+		out := make([]unorderedCand, n)
+		for i := range out {
+			out[i] = unorderedCand{v: pois[i], dist: float64(i + 1), sim: 1, pos: i % 2}
+		}
+		return out
+	}
+	key := unorderedKey{from: v0, origin: true}
+
+	if got := request(2.5); !reflect.DeepEqual(got, want(2)) {
+		t.Fatalf("radius 2.5: %v, want %v", got, want(2))
+	}
+	if got := request(4.5); !reflect.DeepEqual(got, want(4)) {
+		t.Fatalf("radius 4.5: %v, want %v", got, want(4))
+	}
+	if s.stats.MDijkstraRuns != 2 || s.stats.CacheHits != 0 {
+		t.Fatalf("larger radius: runs=%d hits=%d, want a re-run", s.stats.MDijkstraRuns, s.stats.CacheHits)
+	}
+	if e := cache[key]; len(cache) != 1 || e.radius != 4.5 || !reflect.DeepEqual(e.cands, want(4)) {
+		t.Fatalf("entry not replaced by the larger sweep: %d entries, %+v", len(cache), e)
+	}
+	if got := request(1.5); !reflect.DeepEqual(got, want(1)) {
+		t.Fatalf("radius 1.5: %v, want %v", got, want(1))
+	}
+	if s.stats.MDijkstraRuns != 2 || s.stats.CacheHits != 1 {
+		t.Fatalf("smaller radius: runs=%d hits=%d, want a hit", s.stats.MDijkstraRuns, s.stats.CacheHits)
+	}
+	if want := int64(4 * 32); s.stats.PeakCacheBytes != want || s.cacheBytes != want {
+		t.Fatalf("cache bytes: peak %d, running %d, want %d", s.stats.PeakCacheBytes, s.cacheBytes, want)
+	}
+
+	// The origin bit: p1 swept as the query start is its own candidate at
+	// distance 0; swept as the end of a route it is not, so the two
+	// sweeps keep separate entries.
+	atStart := s.unorderedNext(empty, pois[0], cache)
+	if wantStart := []unorderedCand{{v: pois[0], dist: 0, sim: 1, pos: 0}, {v: pois[1], dist: 1, sim: 1, pos: 1}}; !reflect.DeepEqual(atStart, wantStart) {
+		t.Fatalf("sweep from p1 as the start: %v, want %v", atStart, wantStart)
+	}
+	if atEnd := s.unorderedNext(empty.Extend(s.scorer, pois[0], 1, 1), pois[0], cache); len(atEnd) != 0 || len(cache) != 3 {
+		t.Fatalf("sweep from p1 as a route's end: %v with %d entries, want none with 3", atEnd, len(cache))
+	}
+}
+
+// TestUnorderedReportsMDijkstraTime: unordered sweeps are charged to the
+// m-Dijkstra stage, which is part of the query's time.
+func TestUnorderedReportsMDijkstraTime(t *testing.T) {
+	ds, vq, cats := gen.PaperExample()
+	seq := route.NewCategorySequence(ds.Forest, ds.Forest.WuPalmer, cats...)
+	for _, caching := range []bool{true, false} {
+		opts := DefaultOptions()
+		opts.Caching = caching
+		res, err := NewSearcher(ds, ds.Forest.WuPalmer, opts).QueryUnordered(vq, seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		if st.MDijkstraRuns == 0 || st.MDijkstraTime <= 0 || st.MDijkstraTime > st.QueryTime {
+			t.Fatalf("caching=%v: runs=%d MDijkstraTime=%v QueryTime=%v, want 0 < MDijkstraTime ≤ QueryTime",
+				caching, st.MDijkstraRuns, st.MDijkstraTime, st.QueryTime)
 		}
 	}
 }

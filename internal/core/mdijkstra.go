@@ -109,8 +109,7 @@ func (s *Searcher) nextPoIs(r *route.Route, from graph.VertexID) []candidate {
 			// A truncated run's items stop at an arbitrary frontier; caching
 			// them could serve an incomplete candidate set to a later query
 			// on this searcher.
-			s.cache[key] = e
-			s.accountCacheBytes()
+			s.storeCache(key, e)
 		}
 		return e.items
 	}
@@ -420,12 +419,25 @@ func (s *Searcher) chargeSettleStats(settled int) {
 	s.stats.SettledVertices += int64(settled)
 }
 
-func (s *Searcher) accountCacheBytes() {
-	var b int64
-	for _, e := range s.cache {
-		b += 48 + int64(len(e.items))*40
+// storeCache puts e into the on-the-fly cache, replacing any entry the
+// key held, and charges the difference to the running byte total.
+func (s *Searcher) storeCache(key cacheKey, e *cacheEntry) {
+	delta := e.bytes()
+	if old, ok := s.cache[key]; ok {
+		delta -= old.bytes()
 	}
-	if b > s.stats.PeakCacheBytes {
-		s.stats.PeakCacheBytes = b
+	s.cache[key] = e
+	s.chargeCacheBytes(delta)
+}
+
+// bytes is the entry's share of Stats.PeakCacheBytes.
+func (e *cacheEntry) bytes() int64 { return 48 + int64(len(e.items))*40 }
+
+// chargeCacheBytes adds delta to the query's running cache total and
+// records the peak.
+func (s *Searcher) chargeCacheBytes(delta int64) {
+	s.cacheBytes += delta
+	if s.cacheBytes > s.stats.PeakCacheBytes {
+		s.stats.PeakCacheBytes = s.cacheBytes
 	}
 }

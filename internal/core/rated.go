@@ -64,6 +64,7 @@ func (s *Searcher) QueryRated(start graph.VertexID, seq route.Sequence) (*RatedR
 	s.sky = route.NewSkyline() // unused by the rated flow but kept valid
 	s.stats = Stats{InitPerfectL: math.Inf(1), TopK: 1}
 	s.cache = nil
+	s.cacheBytes = 0
 	if s.opts.Caching {
 		s.cache = make(map[cacheKey]*cacheEntry)
 	}
@@ -138,8 +139,7 @@ func (s *Searcher) QueryRated(start graph.VertexID, seq route.Sequence) (*RatedR
 				cands = ce.items
 			} else {
 				ce = s.runMDijkstra(from, pos, radius, math.Inf(1), depart)
-				s.cache[key] = ce
-				s.accountCacheBytes()
+				s.storeCache(key, ce)
 				cands = ce.items
 			}
 		} else {

@@ -18,9 +18,10 @@ type Stats struct {
 	SharedCacheHits int64
 
 	// MDijkstraTime totals wall time spent inside runMDijkstra across the
-	// query (the m-Dijkstra stage of the per-search stage breakdown; runs
-	// triggered from NNinit also count toward InitTime, which measures the
-	// whole §5.3.1 phase).
+	// query, or inside the unordered sweeps of QueryUnordered (the
+	// m-Dijkstra stage of the per-search stage breakdown; runs triggered
+	// from NNinit also count toward InitTime, which measures the whole
+	// §5.3.1 phase).
 	MDijkstraTime time.Duration
 
 	// SettledVertices totals graph vertices settled across all searches —

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/bits"
+	"sort"
 	"time"
 
 	"skysr/internal/dijkstra"
@@ -20,10 +20,12 @@ import (
 // matches, and positions already covered are deleted from the search, as
 // the paper sketches.
 //
-// The ordered-only optimizations (Lemma 5.5 path filtering, the §5.3.3 hop
-// bounds) do not transfer to the unordered setting and are disabled here;
-// the branch-and-bound threshold, the priority queue arrangement, NNinit
-// seeding and on-the-fly caching all apply.
+// Each expansion explores the expanding route's Lemma 5.3 radius only
+// (unorderedNext), like the ordered search's modified Dijkstra. The
+// ordered-only optimizations (Lemma 5.5 path filtering, the §5.3.3 hop
+// bounds, the category index) do not transfer to the unordered setting
+// and are disabled here; the branch-and-bound threshold, the priority
+// queue arrangement, NNinit seeding and on-the-fly caching all apply.
 func (s *Searcher) QueryUnordered(start graph.VertexID, seq route.Sequence) (*Result, error) {
 	if len(seq) == 0 {
 		return nil, fmt.Errorf("core: empty sequence")
@@ -50,6 +52,7 @@ func (s *Searcher) QueryUnordered(start graph.VertexID, seq route.Sequence) (*Re
 	// checks below cut against the k-th-best length automatically.
 	s.sky = s.newResultSet()
 	s.stats = Stats{InitPerfectL: math.Inf(1), TopK: s.opts.effectiveTopK()}
+	s.cacheBytes = 0
 	s.bounds = nil
 	s.destDist = nil
 	s.idxRows = indexRows{} // the unordered loop takes no index shortcuts
@@ -80,11 +83,13 @@ func (s *Searcher) QueryUnordered(start graph.VertexID, seq route.Sequence) (*Re
 	}
 	qb := pq.NewHeap(less)
 
-	cache := map[unorderedKey][]unorderedCand{}
+	var cache map[unorderedKey]*unorderedEntry
+	if s.opts.Caching {
+		cache = make(map[unorderedKey]*unorderedEntry)
+	}
 	expand := func(e entry, from graph.VertexID) {
-		cands := s.unorderedNext(e.r, e.mask, from, cache)
-		for _, c := range cands {
-			if e.r.Contains(c.v) {
+		for _, c := range s.unorderedNext(e.r, from, cache) {
+			if e.mask&(1<<uint(c.pos)) != 0 || e.r.Contains(c.v) {
 				continue
 			}
 			rt := e.r.Extend(s.scorer, c.v, c.dist, c.sim)
@@ -133,11 +138,15 @@ func (s *Searcher) QueryUnordered(start graph.VertexID, seq route.Sequence) (*Re
 	return &Result{Routes: s.sky.Routes(), Stats: s.stats}, nil
 }
 
+// unorderedKey identifies one unordered sweep within a query: the origin
+// vertex, whether it is the query start (the only origin that may itself
+// be a candidate), and — on time-dependent datasets — the departure time
+// at the origin (always 0 on static datasets). The satisfied-position mask
+// is not part of the key: a sweep records the matches of every position,
+// and each reader skips the positions its route has already covered.
 type unorderedKey struct {
-	from graph.VertexID
-	mask uint32
-	// depart is the absolute departure time at from (always 0 on static
-	// datasets, so classic cache keys are unchanged).
+	from   graph.VertexID
+	origin bool
 	depart float64
 }
 
@@ -148,26 +157,46 @@ type unorderedCand struct {
 	pos  int
 }
 
-// unorderedNext collects, within the threshold radius, every (PoI,
-// position) pair where the PoI semantically matches a still-unsatisfied
-// position.
-func (s *Searcher) unorderedNext(r *route.Route, mask uint32, from graph.VertexID, cache map[unorderedKey][]unorderedCand) []unorderedCand {
+// unorderedEntry is one finished sweep: every (PoI, position) match with
+// dist < radius, in ascending distance order (the sweep's settle order).
+type unorderedEntry struct {
+	radius float64
+	cands  []unorderedCand
+}
+
+// within returns the entry's candidates closer than radius.
+func (e *unorderedEntry) within(radius float64) []unorderedCand {
+	n := sort.Search(len(e.cands), func(i int) bool { return e.cands[i].dist >= radius })
+	return e.cands[:n]
+}
+
+// bytes is the entry's share of Stats.PeakCacheBytes.
+func (e *unorderedEntry) bytes() int64 { return int64(len(e.cands)) * 32 }
+
+// unorderedNext returns every (PoI, position) match within the route's
+// Lemma 5.3 radius threshold − l(r) of from, for all positions; the caller
+// skips the positions r has already satisfied. A PoI at distance ≥ radius
+// cannot extend r into a surviving route: extension only raises the
+// semantic score, and the threshold never increases as the semantic score
+// gets worse, so its route fails the expand-time check too, up to float
+// rounding (see ARCHITECTURE.md, "Unordered sweep").
+//
+// With a non-nil cache the sweep is served from the entry of the same
+// (from, origin, depart) key when that entry was explored to at least the
+// requested radius. Otherwise the sweep runs at the requested radius and
+// replaces the entry, so a later, larger request re-runs it.
+func (s *Searcher) unorderedNext(r *route.Route, from graph.VertexID, cache map[unorderedKey]*unorderedEntry) []unorderedCand {
 	radius := s.sky.Threshold(r.Semantic()) - r.Length()
 	if radius <= 0 {
 		return nil
 	}
-	depart := s.expandDepart(r)
+	origin := r.Size() == 0
+	key := unorderedKey{from: from, origin: origin, depart: s.expandDepart(r)}
 	s.stats.MDijkstraRequests++
-	key := unorderedKey{from: from, mask: mask, depart: depart}
-	if s.opts.Caching {
-		// The cached list is complete only if it was produced by an
-		// unbounded exploration; unordered caching stores the unbounded
-		// sweep once per key (simpler than radius bookkeeping and still a
-		// large saving).
-		if items, ok := cache[key]; ok {
-			s.stats.CacheHits++
-			return items
-		}
+	old := cache[key]
+	if old != nil && old.radius >= radius {
+		s.stats.CacheHits++
+		return old.within(radius)
 	}
 	s.stats.MDijkstraRuns++
 	faults.Fire(faults.MDijkstraRun)
@@ -176,17 +205,13 @@ func (s *Searcher) unorderedNext(r *route.Route, mask uint32, from graph.VertexI
 	}
 	g := s.d.Graph
 	k := len(s.seq)
-	var items []unorderedCand
-	bound := radius
-	if s.opts.Caching {
-		bound = 0 // unbounded so the entry is reusable at any radius
-	}
-	origin := r.Size() == 0
+	e := &unorderedEntry{radius: radius}
+	began := time.Now()
 	s.ws.Run(dijkstra.Options{
 		Sources:  []graph.VertexID{from},
-		Bound:    bound,
+		Bound:    radius,
 		Metric:   s.searchMetric(),
-		DepartAt: depart,
+		DepartAt: key.depart,
 		Halt:     s.cc.halt(),
 		OnSettle: func(v graph.VertexID, d float64) dijkstra.Control {
 			if !g.IsPoI(v) || (v == from && !origin) {
@@ -194,32 +219,26 @@ func (s *Searcher) unorderedNext(r *route.Route, mask uint32, from graph.VertexI
 			}
 			cats := g.Categories(v)
 			for pos := 0; pos < k; pos++ {
-				if mask&(1<<uint(pos)) != 0 {
-					continue
-				}
 				if h := s.seq[pos].Sim(cats); h > 0 {
-					items = append(items, unorderedCand{v: v, dist: d, sim: h, pos: pos})
+					e.cands = append(e.cands, unorderedCand{v: v, dist: d, sim: h, pos: pos})
 				}
 			}
 			return dijkstra.Continue
 		},
 	})
-	if s.stats.MDijkstraRuns == 1 {
-		s.stats.FirstMDijkstraRadius = s.ws.LastMaxSettledDist()
-	}
-	if s.opts.Caching && !s.cc.cancelled() {
-		// A halted sweep is not the unbounded exploration the cache
-		// contract promises; dropping it keeps later hits complete.
-		cache[key] = items
-		var b int64
-		for _, is := range cache {
-			b += int64(len(is)) * 32
+	s.stats.MDijkstraTime += time.Since(began)
+	s.noteFirstRadius(s.ws.LastMaxSettledDist())
+	if cache != nil && !s.cc.cancelled() {
+		// A halted sweep stops at an arbitrary frontier, not at its
+		// radius; dropping it keeps later hits complete.
+		cache[key] = e
+		delta := e.bytes()
+		if old != nil {
+			delta -= old.bytes()
 		}
-		if b > s.stats.PeakCacheBytes {
-			s.stats.PeakCacheBytes = b
-		}
+		s.chargeCacheBytes(delta)
 	}
-	return items
+	return e.cands
 }
 
 // unorderedInit greedily chains nearest perfect matches over the remaining
@@ -273,5 +292,4 @@ func (s *Searcher) unorderedInit(start graph.VertexID, full uint32) {
 	}
 	s.stats.InitTime = time.Since(began)
 	s.stats.InitPerfectL = s.sky.ThresholdPerfect()
-	_ = bits.OnesCount32(mask)
 }
