@@ -299,7 +299,8 @@ func suffixMax(xs []float64) []float64 {
 	return out
 }
 
-// prune applies the §5.3.3 lower-bound rules to a popped partial route:
+// prune applies the §5.3.3 lower-bound rules to a popped partial route r
+// with the given rating penalty:
 //
 //  1. Semantic rule: every completion of r adds at least the semantic-match
 //     minimum distance of the remaining hops, so r is dead if even that
@@ -310,10 +311,12 @@ func suffixMax(xs []float64) []float64 {
 //     distance (witness R”), r is dead.
 //
 // Both rules are written against the resultSet witness test, so they
-// generalize unchanged to top-k runs: CoversPoint then demands k
+// generalize unchanged to top-k runs — CoversPoint then demands k
 // witnesses instead of one, i.e. every cut happens against the current
-// k-th-best length of the route's similarity level.
-func (b *bounds) prune(r *route.Route, sky resultSet, scorer route.Scorer) bool {
+// k-th-best length of the route's similarity level — and to rated
+// queries, whose witnesses must also be rated no worse than r (a
+// completion's penalty only grows).
+func (b *bounds) prune(r *route.Route, rating float64, sky resultSet, scorer route.Scorer) bool {
 	m := r.Size()
 	if m == 0 || m >= b.k {
 		return false
@@ -321,7 +324,7 @@ func (b *bounds) prune(r *route.Route, sky resultSet, scorer route.Scorer) bool 
 	// Remaining hops start at hop index m-1 (from r's last PoI at
 	// position m-1 to position m).
 	lsRem := b.lsSuffix[m-1]
-	if r.Length()+lsRem >= sky.Threshold(r.Semantic()) {
+	if r.Length()+lsRem >= sky.Threshold(r.Semantic(), rating) {
 		return true
 	}
 	delta := scorer.MinIncrement(r.AggState(), m, b.maxImpSuffix[m])
@@ -329,6 +332,6 @@ func (b *bounds) prune(r *route.Route, sky resultSet, scorer route.Scorer) bool 
 		return false
 	}
 	lpRem := b.lpSuffix[m-1]
-	return sky.CoversPoint(r.Length(), r.Semantic()+delta) &&
-		sky.CoversPoint(r.Length()+lpRem, r.Semantic())
+	return sky.CoversPoint(r.Length(), r.Semantic()+delta, rating) &&
+		sky.CoversPoint(r.Length()+lpRem, r.Semantic(), rating)
 }

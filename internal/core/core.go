@@ -156,26 +156,33 @@ func WithoutOptimizations() Options {
 // Result carries the answer and instrumentation of one query.
 type Result struct {
 	// Routes is the minimal set S of skyline sequenced routes, sorted by
-	// ascending length (descending semantic follows from minimality).
+	// ascending length (descending semantic follows from minimality; rated
+	// answers break length ties by semantic score, then rating).
 	Routes []*route.Route
+	// Ratings holds each route's rating penalty for rated queries
+	// (QueryRated; 0 = every visited PoI top-rated, 1 = all bottom-rated),
+	// index-aligned with Routes. Nil for every other query.
+	Ratings []float64
 	// Stats instruments the run.
 	Stats Stats
 }
 
 // resultSet is the container of complete routes the search fills: the
-// classic skyline for k ≤ 1 runs, the top-k band otherwise. Both share
-// the exact-pruning contract — Threshold is the length at which a route
-// of the given semantic score is provably outside the answer, and
-// CoversPoint witnesses that no completion scoring at-or-beyond a point
-// can enter it — so the search loop, the §5.3.3 bounds and the index
-// prune are written once against this interface.
+// classic skyline for k ≤ 1 runs, the top-k band otherwise, and the
+// three-criteria skyline of rated queries. All share the exact-pruning
+// contract over score points (length, semantic, rating penalty) — the
+// two-criteria sets ignore the rating — so the search loop, the §5.3.3
+// bounds and the index prune are written once against this interface:
+// Threshold is the length at which a route with the given semantic score
+// and rating penalty is provably outside the answer, and CoversPoint
+// witnesses that no completion scoring at-or-beyond a point can enter it.
 type resultSet interface {
-	Update(*route.Route) bool
+	Update(r *route.Route, rating float64) bool
 	Len() int
 	Routes() []*route.Route
-	Threshold(sem float64) float64
-	ThresholdPerfect() float64
-	CoversPoint(l, sem float64) bool
+	Threshold(sem, rating float64) float64
+	ThresholdPerfect() float64 // Threshold(0, 0)
+	CoversPoint(l, sem, rating float64) bool
 }
 
 // effectiveTopK normalizes Options.TopK: 0 and 1 (and anything below)
@@ -187,14 +194,73 @@ func (o Options) effectiveTopK() int {
 	return 1
 }
 
-// newResultSet returns the per-query result container: the classic
-// skyline for k ≤ 1 (so single-best queries run byte-identically to
-// always), the top-k band otherwise.
-func (s *Searcher) newResultSet() resultSet {
+// newResultSet returns the per-query result container: the three-criteria
+// skyline for rated queries, the top-k band for k > 1, and the classic
+// skyline otherwise (so single-best queries run byte-identically to
+// always).
+func (s *Searcher) newResultSet(rated bool) resultSet {
+	if rated {
+		return route.NewSkyline3()
+	}
 	if k := s.opts.effectiveTopK(); k > 1 {
 		return topk.NewSkyband(k)
 	}
 	return route.NewSkyline()
+}
+
+// item is one route of the search with the state its shape adds: its
+// summed rating penalty, which the rated result set scores, and the
+// positions it has filled, which the unordered expander consults. An
+// ordered route's one open position is r.Size(), which its mask never
+// holds.
+type item struct {
+	r    *route.Route
+	pen  float64 // Σ dataset.RatingPenalty over the visited PoIs
+	mask uint32  // bit i set: position i filled (unordered routes)
+}
+
+// filled reports that an unordered route has filled position pos.
+func (it item) filled(pos int) bool { return it.mask&(1<<uint(pos)) != 0 }
+
+// extend returns it ⊕ c: the route extended by c's PoI, its penalty by the
+// PoI's rating, and its mask by c's position bit.
+func (s *Searcher) extend(it item, c candidate) item {
+	return item{
+		r:    it.r.Extend(s.scorer, c.v, c.dist, c.sim),
+		pen:  it.pen + dataset.RatingPenalty(s.d.Rating(c.v)),
+		mask: it.mask | c.bit,
+	}
+}
+
+// rating is the route's possible minimum rating penalty: unvisited
+// positions count as top-rated, so it never decreases under extension.
+func (s *Searcher) rating(it item) float64 { return it.pen / float64(len(s.seq)) }
+
+// threshold is the Lemma 5.3 threshold for the route's own scores.
+func (s *Searcher) threshold(it item) float64 {
+	return s.sky.Threshold(it.r.Semantic(), s.rating(it))
+}
+
+// open returns the positions it may fill next as the range [lo, hi),
+// less those it has filled: position r.Size() of an ordered route, any
+// position of an unordered one.
+func (s *Searcher) open(it item) (lo, hi int) {
+	if s.anyOrder {
+		return 0, len(s.seq)
+	}
+	return it.r.Size(), it.r.Size() + 1
+}
+
+// candidates is the query's expander: the PoIs that can extend it by one
+// open position, found around from within its Lemma 5.3 radius — the
+// modified Dijkstra for position r.Size() (nextPoIs) on ordered queries,
+// one sweep matching every position (unorderedNext) on unordered ones.
+// Each keeps its own cache.
+func (s *Searcher) candidates(it item, from graph.VertexID) []candidate {
+	if s.anyOrder {
+		return s.unorderedNext(it, from)
+	}
+	return s.nextPoIs(it, from)
 }
 
 // Searcher answers SkySR queries over one dataset. It is not safe for
@@ -207,18 +273,23 @@ type Searcher struct {
 	ws   *dijkstra.Workspace
 
 	// Per-query state.
-	seq        route.Sequence
-	scorer     route.Scorer
-	sky        resultSet
+	seq      route.Sequence
+	scorer   route.Scorer
+	sky      resultSet
+	anyOrder bool // unordered query: routes may fill their open positions in any order (open)
+	// pathFilter applies the Lemma 5.5 path filter in the modified
+	// Dijkstra: on unless Options.DisablePathFilter, a top-k run or a
+	// rated query turns it off (see search).
+	pathFilter bool
 	stats      Stats
-	cache      map[cacheKey]*cacheEntry
-	cacheBytes int64 // running size of the query's on-the-fly cache (Stats.PeakCacheBytes)
+	cache      map[cacheKey]*cacheEntry         // ordered expander's on-the-fly cache
+	ucache     map[unorderedKey]*unorderedEntry // unordered expander's on-the-fly cache
+	cacheBytes int64                            // running size of the query's on-the-fly cache (Stats.PeakCacheBytes)
 	bounds     *bounds
-	destDist   []float64         // distance from each vertex to the destination; nil when no destination
-	posTree    []taxonomy.TreeID // per-position category tree, -1 for non-Category matchers
-	idxRows    indexRows         // per-position index rows resolved for this query
-	md         *mdWorkspace      // reusable modified-Dijkstra arrays, lazily sized
-	scr        *boundsScratch    // epoch-stamped §5.3.3 scratch arrays, lazily sized
+	destDist   []float64      // distance from each vertex to the destination; nil when no destination
+	idxRows    indexRows      // per-position index rows resolved for this query
+	md         *mdWorkspace   // reusable modified-Dijkstra arrays, lazily sized
+	scr        *boundsScratch // epoch-stamped §5.3.3 scratch arrays, lazily sized
 
 	// Cost-metric state (initMetric). td is true when the dataset carries
 	// time-dependent profiles; depart is the query's departure time;
@@ -384,7 +455,7 @@ func (s *Searcher) QueryCategories(start graph.VertexID, cats ...taxonomy.Catego
 // Query answers a SkySR query with generalized per-position requirements
 // (§6 extensions compose here).
 func (s *Searcher) Query(start graph.VertexID, seq route.Sequence) (*Result, error) {
-	return s.query(start, seq, graph.NoVertex)
+	return s.search(start, seq, graph.NoVertex, false, false)
 }
 
 // QueryWithDestination answers the "SkySR with destination" variant (§6):
@@ -393,10 +464,17 @@ func (s *Searcher) QueryWithDestination(start graph.VertexID, seq route.Sequence
 	if dest == graph.NoVertex || int(dest) >= s.d.Graph.NumVertices() {
 		return nil, fmt.Errorf("core: invalid destination %d", dest)
 	}
-	return s.query(start, seq, dest)
+	return s.search(start, seq, dest, false, false)
 }
 
-func (s *Searcher) query(start graph.VertexID, seq route.Sequence, dest graph.VertexID) (*Result, error) {
+// search is the one best-first loop (Algorithm 1) behind every query
+// shape. Two things vary, both fixed before the loop starts: the result
+// set (newResultSet: skyline, top-k band, or the three-criteria skyline
+// when rated) and the expander (candidates: position r.Size() next, or —
+// anyOrder — any position the route has not filled). Every prune is
+// written once against them; ARCHITECTURE.md ("One search loop") argues
+// each one's admissibility for every shape.
+func (s *Searcher) search(start graph.VertexID, seq route.Sequence, dest graph.VertexID, anyOrder, rated bool) (*Result, error) {
 	if len(seq) == 0 {
 		return nil, fmt.Errorf("core: empty sequence")
 	}
@@ -411,34 +489,25 @@ func (s *Searcher) query(start graph.VertexID, seq route.Sequence, dest graph.Ve
 	}
 	began := time.Now()
 	k := s.opts.effectiveTopK()
-	if k > 1 && !s.opts.DisablePathFilter {
-		// The Lemma 5.5 filter discards dominated routes, which the k-band
-		// must keep (see Options.TopK). Restore afterwards: callers that
-		// hold a Searcher across queries (the bench harness) expect their
-		// options back.
-		s.opts.DisablePathFilter = true
-		defer func() { s.opts.DisablePathFilter = false }()
-	}
 	s.seq = seq
+	s.anyOrder = anyOrder
 	s.scorer = route.NewScorer(s.opts.Aggregation, len(seq))
-	s.sky = s.newResultSet()
+	s.sky = s.newResultSet(rated)
+	// The Lemma 5.5 filter discards dominated routes, which the k-band
+	// must keep (see Options.TopK), and its substitution argument fails
+	// with a third criterion: the more similar blocker may be worse rated.
+	s.pathFilter = !s.opts.DisablePathFilter && k <= 1 && !rated
 	s.stats = Stats{InitPerfectL: math.Inf(1), TopK: k}
-	s.cache = nil
+	s.cache, s.ucache = nil, nil
 	s.cacheBytes = 0
 	if s.opts.Caching {
 		s.cache = make(map[cacheKey]*cacheEntry)
+		s.ucache = make(map[unorderedKey]*unorderedEntry)
 	}
 	s.bounds = nil
 	s.destDist = nil
-	s.posTree = make([]taxonomy.TreeID, len(seq))
-	for i, m := range seq {
-		s.posTree[i] = -1
-		if c, ok := m.(*route.Category); ok {
-			s.posTree[i] = s.d.Forest.Tree(c.ID())
-		}
-	}
 	s.prepareIndexRows()
-	s.initTrace(true)
+	s.initTrace()
 	s.ws.ResetStats()
 	if dest != graph.NoVertex {
 		s.dest = dest
@@ -450,21 +519,24 @@ func (s *Searcher) query(start graph.VertexID, seq route.Sequence, dest graph.Ve
 		s.runNNinit(start)
 	}
 	// Optimization 3: possible minimum distances (§5.3.3, Algorithm 4).
-	if s.opts.LowerBounds && !s.cc.cancelled() {
+	// Its hops join consecutive positions, so unordered routes, which may
+	// fill positions in any order, take no hop bounds.
+	if s.opts.LowerBounds && !anyOrder && !s.cc.cancelled() {
 		s.computeBounds(start)
 	}
 
 	// Main loop: Algorithm 1.
 	qb := pq.NewHeap(s.queueLess())
 	if !s.cc.cancelled() {
-		s.expand(route.Empty(s.scorer), start, qb)
+		s.expand(item{r: route.Empty(s.scorer)}, start, qb)
 	}
 	for qb.Len() > 0 {
 		faults.Fire(faults.RoutePop)
 		if s.cc.tick() {
 			break
 		}
-		r := qb.Pop()
+		it := qb.Pop()
+		r := it.r
 		s.stats.RoutesPopped++
 		lg := s.legHook(r.Size())
 		if lg != nil {
@@ -472,7 +544,7 @@ func (s *Searcher) query(start graph.VertexID, seq route.Sequence, dest graph.Ve
 		}
 		// Re-check the Lemma 5.3 threshold at pop time: S may have
 		// improved since r was enqueued (Table 4 steps 6 and 9).
-		if r.Length() >= s.sky.Threshold(r.Semantic()) {
+		if r.Length() >= s.threshold(it) {
 			s.stats.PrunedThreshold++
 			if lg != nil {
 				lg.prunedThreshold++
@@ -480,47 +552,51 @@ func (s *Searcher) query(start graph.VertexID, seq route.Sequence, dest graph.Ve
 			continue
 		}
 		s.noteTopKPop(r)
-		if s.pruneByDest(r) {
+		if s.pruneByDest(it) {
 			s.stats.PrunedByDest++
 			if lg != nil {
 				lg.prunedDest++
 			}
 			continue
 		}
-		if s.idxRows.any && s.pruneByIndex(r) {
+		if s.idxRows.any && s.pruneByIndex(it) {
 			s.stats.PrunedByIndex++
 			if lg != nil {
 				lg.prunedIndex++
 			}
 			continue
 		}
-		if s.bounds != nil && s.bounds.prune(r, s.sky, s.scorer) {
+		if s.bounds != nil && s.bounds.prune(r, s.rating(it), s.sky, s.scorer) {
 			s.stats.PrunedByBounds++
 			if lg != nil {
 				lg.prunedBounds++
 			}
 			continue
 		}
-		from := r.Last()
-		s.expand(r, from, qb)
+		s.expand(it, r.Last(), qb)
 	}
 
 	s.stats.QueryTime = time.Since(began)
 	// Modified-Dijkstra settles are charged as they happen; add the shared
-	// workspace's searches (NNinit, bounds, destination table).
+	// workspace's searches (NNinit, bounds, destination table, unordered
+	// sweeps).
 	s.stats.SettledVertices += s.ws.SettledCount()
 	s.stats.Results = s.sky.Len()
 	s.harvestTopKStats()
 	s.finishTrace(s.cc.err)
 	// On-the-fly caching frees its results once the query finishes
 	// (§5.3.4): the cache rarely helps across different inputs.
-	s.cache = nil
+	s.cache, s.ucache = nil, nil
 	if err := s.cc.err; err != nil {
 		// Interrupted: the skyline may be missing routes a finished search
 		// would have found, so only the instrumentation is returned.
 		return &Result{Stats: s.stats}, err
 	}
-	return &Result{Routes: s.sky.Routes(), Stats: s.stats}, nil
+	res := &Result{Routes: s.sky.Routes(), Stats: s.stats}
+	if sky3, ok := s.sky.(*route.Skyline3); ok {
+		res.Ratings = sky3.Ratings()
+	}
+	return res, nil
 }
 
 // noteTopKPop counts the pops a k > 1 run performs beyond what a k = 1
@@ -546,9 +622,10 @@ func (s *Searcher) harvestTopKStats() {
 // queueLess returns the route-queue ordering: the proposed priority
 // (§5.3.2) or the conventional distance order, with deterministic
 // tie-breaks.
-func (s *Searcher) queueLess() func(a, b *route.Route) bool {
+func (s *Searcher) queueLess() func(x, y item) bool {
 	if s.opts.ProposedQueue {
-		return func(a, b *route.Route) bool {
+		return func(x, y item) bool {
+			a, b := x.r, y.r
 			if a.Size() != b.Size() {
 				return a.Size() > b.Size()
 			}
@@ -561,7 +638,8 @@ func (s *Searcher) queueLess() func(a, b *route.Route) bool {
 			return a.Last() < b.Last()
 		}
 	}
-	return func(a, b *route.Route) bool {
+	return func(x, y item) bool {
+		a, b := x.r, y.r
 		if a.Length() != b.Length() {
 			return a.Length() < b.Length()
 		}
@@ -572,85 +650,95 @@ func (s *Searcher) queueLess() func(a, b *route.Route) bool {
 	}
 }
 
-// expand runs the modified Dijkstra for the next position of r (Algorithm
-// 2) and routes each found PoI into the queue or the skyline set.
-func (s *Searcher) expand(r *route.Route, from graph.VertexID, qb *pq.Heap[*route.Route]) {
+// expand runs the query's expander from the end of it (Algorithm 2) and
+// routes each found PoI into the queue or the result set.
+func (s *Searcher) expand(it item, from graph.VertexID, qb *pq.Heap[item]) {
 	k := len(s.seq)
-	cands := s.nextPoIs(r, from)
-	for _, c := range cands {
-		if r.Contains(c.v) {
-			continue // Definition 3.4(iii)
+	r := it.r
+	for _, c := range s.candidates(it, from) {
+		if it.mask&c.bit != 0 || r.Contains(c.v) {
+			continue // position already filled; Definition 3.4(iii)
 		}
 		// Lemma 5.5: skip candidates reached through a PoI at least as
 		// similar — unless that blocker is already used by this route, in
 		// which case the substitution the lemma relies on is infeasible.
-		if !s.opts.DisablePathFilter &&
+		if s.pathFilter &&
 			c.blockSim >= c.sim && c.blockV != graph.NoVertex && !r.Contains(c.blockV) {
 			continue
 		}
-		rt := r.Extend(s.scorer, c.v, c.dist, c.sim)
-		complete := rt.Size() == k
+		nx := s.extend(it, c)
+		complete := nx.r.Size() == k
 		if complete && s.hasDest() {
 			var ok bool
-			if rt, ok = s.completeToDest(rt); !ok {
+			if nx.r, ok = s.completeToDest(nx); !ok {
 				continue // destination unreachable, or leg provably too long
 			}
 		}
-		// Line 10: the Eq. 3 threshold for rt's own semantic score.
-		if rt.Length() >= s.sky.Threshold(rt.Semantic()) {
+		// Line 10: the Eq. 3 threshold for the new route's own scores.
+		if nx.r.Length() >= s.threshold(nx) {
 			continue
 		}
 		if complete {
-			s.sky.Update(rt)
-		} else {
-			// Enqueue-time forms of the destination and index prunes: a
-			// route either bound already condemns would be pruned at pop
-			// (the threshold only shrinks in the meantime), so don't queue
-			// it at all.
-			if s.pruneByDest(rt) {
-				s.stats.PrunedByDest++
-				if lg := s.legHook(rt.Size()); lg != nil {
-					lg.prunedDest++
-				}
-				continue
+			s.sky.Update(nx.r, s.rating(nx))
+			continue
+		}
+		// Enqueue-time forms of the destination and index prunes: a route
+		// either bound already condemns would be pruned at pop (the
+		// threshold only shrinks in the meantime), so don't queue it at
+		// all.
+		if s.pruneByDest(nx) {
+			s.stats.PrunedByDest++
+			if lg := s.legHook(nx.r.Size()); lg != nil {
+				lg.prunedDest++
 			}
-			if s.idxRows.any && s.pruneByIndex(rt) {
-				s.stats.PrunedByIndex++
-				if lg := s.legHook(rt.Size()); lg != nil {
-					lg.prunedIndex++
-				}
-				continue
+			continue
+		}
+		if s.idxRows.any && s.pruneByIndex(nx) {
+			s.stats.PrunedByIndex++
+			if lg := s.legHook(nx.r.Size()); lg != nil {
+				lg.prunedIndex++
 			}
-			qb.Push(rt)
-			s.stats.RoutesEnqueued++
-			if lg := s.legHook(rt.Size() - 1); lg != nil {
-				lg.enqueued++
-			}
-			if qb.Len() > s.stats.PeakQueueLen {
-				s.stats.PeakQueueLen = qb.Len()
-			}
+			continue
+		}
+		qb.Push(nx)
+		s.stats.RoutesEnqueued++
+		if lg := s.legHook(r.Size()); lg != nil {
+			lg.enqueued++
+		}
+		if qb.Len() > s.stats.PeakQueueLen {
+			s.stats.PeakQueueLen = qb.Len()
 		}
 	}
 }
 
 // pruneByIndex applies the precomputed index lower bound: the next hop of
-// any completion of r costs at least the distance from r's end to the
-// nearest PoI of the next position's tree (a row lookup); later hops are
-// additionally bounded by the §5.3.3 suffix when available.
-func (s *Searcher) pruneByIndex(r *route.Route) bool {
+// any completion of the route costs at least the distance from its end to
+// the nearest PoI of an open position's tree (a row lookup per open
+// position); later hops are additionally bounded by the §5.3.3 suffix
+// when available. An open position without a row disables the prune.
+func (s *Searcher) pruneByIndex(it item) bool {
+	r := it.r
 	m := r.Size()
 	if m == 0 || m >= len(s.seq) {
 		return false
 	}
-	row := s.idxRows.sem[m]
-	if row == nil {
-		return false
+	hop := math.Inf(1)
+	lo, hi := s.open(it)
+	for pos := lo; pos < hi; pos++ {
+		if it.filled(pos) {
+			continue
+		}
+		row := s.idxRows.sem[pos]
+		if row == nil {
+			return false
+		}
+		hop = math.Min(hop, float64(row[r.Last()]))
 	}
-	bound := r.Length() + float64(row[r.Last()])
+	bound := r.Length() + hop
 	if s.bounds != nil {
 		bound += s.bounds.lsSuffix[m] // hops after the first
 	}
-	return bound >= s.sky.Threshold(r.Semantic())
+	return bound >= s.threshold(it)
 }
 
 // Destination pruning (§6 "SkySR with destination"). destDist[v] is the
@@ -691,11 +779,11 @@ func (s *Searcher) destLimit(threshold, l float64) float64 {
 }
 
 // pruneByDest reports that the destination table proves no completion of
-// the partial route r can enter the answer. Always false without a
+// the partial route can enter the answer. Always false without a
 // destination.
-func (s *Searcher) pruneByDest(r *route.Route) bool {
+func (s *Searcher) pruneByDest(it item) bool {
 	return s.destDist != nil &&
-		s.destDist[r.Last()] >= s.destLimit(s.sky.Threshold(r.Semantic()), r.Length())
+		s.destDist[it.r.Last()] >= s.destLimit(s.threshold(it), it.r.Length())
 }
 
 // completeToDest appends the final leg to the destination (§6) to a
@@ -705,7 +793,8 @@ func (s *Searcher) pruneByDest(r *route.Route) bool {
 // current threshold are dropped without further work (the exact leg can
 // only be longer), and the survivors price the leg exactly with a
 // forward cost-at-arrival search departing at the route's arrival time.
-func (s *Searcher) completeToDest(rt *route.Route) (*route.Route, bool) {
+func (s *Searcher) completeToDest(it item) (*route.Route, bool) {
+	rt := it.r
 	lb := s.destDist[rt.Last()]
 	if math.IsInf(lb, 1) {
 		return nil, false // destination unreachable from this PoI
@@ -713,7 +802,7 @@ func (s *Searcher) completeToDest(rt *route.Route) (*route.Route, bool) {
 	if !s.td {
 		return rt.AddLength(lb), true
 	}
-	budget := s.sky.Threshold(rt.Semantic()) - rt.Length()
+	budget := s.threshold(it) - rt.Length()
 	if lb >= budget {
 		return nil, false
 	}

@@ -474,7 +474,7 @@ func TestDeterminism(t *testing.T) {
 func skylineOf(routes []*route.Route) *route.Skyline {
 	s := route.NewSkyline()
 	for _, r := range routes {
-		s.Update(r)
+		s.Update(r, 0)
 	}
 	return s
 }

@@ -206,7 +206,7 @@ func TestDestinationPruneTimeDependentDyadic(t *testing.T) {
 			depart := dyadic(rng, 0, period)
 			scorer := route.NewScorer(route.AggProduct, len(seq))
 			want := route.NewSkyline()
-			bruteTDRoutes(d, seq, start, dest, depart, scorer, func(r *route.Route) { want.Update(r) })
+			bruteTDRoutes(d, seq, start, dest, depart, scorer, func(r *route.Route) { want.Update(r, 0) })
 			for name, opts := range tdVariants(d, cats) {
 				opts.DepartAt = depart
 				res, err := NewSearcher(d, d.Forest.WuPalmer, opts).QueryWithDestination(start, seq, dest)

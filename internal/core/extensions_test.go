@@ -8,6 +8,7 @@ import (
 
 	"skysr/internal/gen"
 	"skysr/internal/graph"
+	"skysr/internal/index"
 	"skysr/internal/osr"
 	"skysr/internal/route"
 	"skysr/internal/taxonomy"
@@ -42,6 +43,7 @@ func TestUnorderedMatchesBruteForce(t *testing.T) {
 	// is a candidate) and as a later route's end (where it is not).
 	// Dyadic weights make every length sum exact, so the top-k band and
 	// the Caching on/off comparison demand identical score points.
+	var indexPruned int64
 	for trial := 0; trial < 24; trial++ {
 		d := dyadicDataset(rng, f, 16, 12, trial%2 == 1, 0)
 		cats := pickCats(rng, f, 3)
@@ -57,7 +59,13 @@ func TestUnorderedMatchesBruteForce(t *testing.T) {
 		seq := route.NewCategorySequence(f, f.WuPalmer, cats...)
 		want := osr.BruteForceUnordered(d, start, seq, route.AggProduct)
 		points := map[bool][]topk.Point{}
-		for name, opts := range optionVariants() {
+		variants := optionVariants()
+		// The category index's next-hop prune and NNinit fast path, over
+		// the open positions of each route.
+		withIndex := DefaultOptions()
+		withIndex.Index = index.Build(d)
+		variants["index"] = withIndex
+		for name, opts := range variants {
 			res, err := NewSearcher(d, f.WuPalmer, opts).QueryUnordered(start, seq)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -69,6 +77,7 @@ func TestUnorderedMatchesBruteForce(t *testing.T) {
 			if name == "all" || name == "no-cache" {
 				points[opts.Caching] = routePoints(res.Routes)
 			}
+			indexPruned += res.Stats.PrunedByIndex
 		}
 		if !reflect.DeepEqual(points[true], points[false]) {
 			t.Fatalf("trial %d: Caching on %v, off %v", trial, points[true], points[false])
@@ -98,6 +107,9 @@ func TestUnorderedMatchesBruteForce(t *testing.T) {
 				t.Fatalf("trial %d top-2: route %v visits %d PoIs, want one per position", trial, r, r.Size())
 			}
 		}
+	}
+	if indexPruned == 0 {
+		t.Fatal("the index prune never fired on an unordered query")
 	}
 }
 
@@ -157,19 +169,23 @@ func TestUnorderedSweepRadiusReRun(t *testing.T) {
 	}
 	s.seq = seq
 	s.scorer = route.NewScorer(s.opts.Aggregation, len(seq))
-	empty := route.Empty(s.scorer)
-	cache := map[unorderedKey]*unorderedEntry{}
+	empty := item{r: route.Empty(s.scorer)}
+	s.ucache = map[unorderedKey]*unorderedEntry{}
+	cache := s.ucache
 	// request sets the start route's radius to l̄ = radius by seeding the
 	// result set with one perfect route of that length.
-	request := func(radius float64) []unorderedCand {
-		s.sky = s.newResultSet()
-		s.sky.Update(empty.Extend(s.scorer, pois[0], radius, 1).Extend(s.scorer, pois[1], 0, 1))
-		return s.unorderedNext(empty, v0, cache)
+	request := func(radius float64) []candidate {
+		s.sky = s.newResultSet(false)
+		s.sky.Update(empty.r.Extend(s.scorer, pois[0], radius, 1).Extend(s.scorer, pois[1], 0, 1), 0)
+		return s.unorderedNext(empty, v0)
 	}
-	want := func(n int) []unorderedCand {
-		out := make([]unorderedCand, n)
+	cand := func(v graph.VertexID, dist float64, pos int) candidate {
+		return candidate{v: v, bit: 1 << uint(pos), dist: dist, sim: 1, blockV: graph.NoVertex}
+	}
+	want := func(n int) []candidate {
+		out := make([]candidate, n)
 		for i := range out {
-			out[i] = unorderedCand{v: pois[i], dist: float64(i + 1), sim: 1, pos: i % 2}
+			out[i] = cand(pois[i], float64(i+1), i%2)
 		}
 		return out
 	}
@@ -193,18 +209,18 @@ func TestUnorderedSweepRadiusReRun(t *testing.T) {
 	if s.stats.MDijkstraRuns != 2 || s.stats.CacheHits != 1 {
 		t.Fatalf("smaller radius: runs=%d hits=%d, want a hit", s.stats.MDijkstraRuns, s.stats.CacheHits)
 	}
-	if want := int64(4 * 32); s.stats.PeakCacheBytes != want || s.cacheBytes != want {
+	if want := int64(4 * 40); s.stats.PeakCacheBytes != want || s.cacheBytes != want {
 		t.Fatalf("cache bytes: peak %d, running %d, want %d", s.stats.PeakCacheBytes, s.cacheBytes, want)
 	}
 
 	// The origin bit: p1 swept as the query start is its own candidate at
 	// distance 0; swept as the end of a route it is not, so the two
 	// sweeps keep separate entries.
-	atStart := s.unorderedNext(empty, pois[0], cache)
-	if wantStart := []unorderedCand{{v: pois[0], dist: 0, sim: 1, pos: 0}, {v: pois[1], dist: 1, sim: 1, pos: 1}}; !reflect.DeepEqual(atStart, wantStart) {
+	atStart := s.unorderedNext(empty, pois[0])
+	if wantStart := []candidate{cand(pois[0], 0, 0), cand(pois[1], 1, 1)}; !reflect.DeepEqual(atStart, wantStart) {
 		t.Fatalf("sweep from p1 as the start: %v, want %v", atStart, wantStart)
 	}
-	if atEnd := s.unorderedNext(empty.Extend(s.scorer, pois[0], 1, 1), pois[0], cache); len(atEnd) != 0 || len(cache) != 3 {
+	if atEnd := s.unorderedNext(s.extend(empty, cand(pois[0], 1, 0)), pois[0]); len(atEnd) != 0 || len(cache) != 3 {
 		t.Fatalf("sweep from p1 as a route's end: %v with %d entries, want none with 3", atEnd, len(cache))
 	}
 }

@@ -11,12 +11,14 @@ import (
 	"skysr/internal/route"
 )
 
-// candidate is one PoI found by the modified Dijkstra: its network distance
-// from the search origin, its similarity to the position's requirement,
-// and the strongest PoI on the shortest path to it (for the route-aware
-// part of the Lemma 5.5 filter).
+// candidate is one PoI found by an expander: its network distance from
+// the search origin, its similarity to the position's requirement, the
+// position's bit for an unordered route's mask, and the strongest PoI on
+// the shortest path to it (for the route-aware part of the Lemma 5.5
+// filter).
 type candidate struct {
 	v        graph.VertexID
+	bit      uint32 // 1 << position for unordered sweeps; 0 from the modified Dijkstra, whose position is implied
 	dist     float64
 	sim      float64
 	blockSim float64        // max similarity of intermediate PoIs on the path
@@ -55,17 +57,18 @@ func (e *cacheEntry) covers(radius, destLim float64) bool {
 	return e.complete || e.radius >= radius && (!e.destCut || e.destLim >= destLim)
 }
 
-// nextPoIs returns the PoIs that semantically match position r.Size(),
-// reachable from `from` within the route's Lemma 5.3 radius, serving from
-// the on-the-fly cache when possible (§5.3.4). On time-dependent datasets
-// distances are travel times for a departure at the route's arrival time
-// at `from`.
-func (s *Searcher) nextPoIs(r *route.Route, from graph.VertexID) []candidate {
+// nextPoIs is the ordered expander: the PoIs that semantically match
+// position r.Size(), reachable from `from` within the route's Lemma 5.3
+// radius, served from the on-the-fly cache when possible (§5.3.4). On
+// time-dependent datasets distances are travel times for a departure at
+// the route's arrival time at `from`.
+func (s *Searcher) nextPoIs(it item, from graph.VertexID) []candidate {
+	r := it.r
 	pos := r.Size()
 	depart := s.expandDepart(r)
 	// Allowed search radius: Algorithm 2 line 8 stops when
 	// l(Rt) = l(Rd) + dist ≥ l̄(Rd).
-	threshold := s.sky.Threshold(r.Semantic())
+	threshold := s.threshold(it)
 	radius := threshold - r.Length()
 	// The destination cut bounds the same remaining path as the suffix
 	// below, so it takes the un-tightened radius: adding the two bounds
@@ -119,7 +122,7 @@ func (s *Searcher) nextPoIs(r *route.Route, from graph.VertexID) []candidate {
 // sharedOrRun serves a modified-Dijkstra request from the cross-query
 // SharedCache when the position is shareable, running (and publishing) the
 // search otherwise. A position is shareable when it is a plain Category
-// matcher, the Lemma 5.5 path filter is active, and the dataset is not
+// matcher, the Lemma 5.5 path filter is on (pathFilter), and the dataset is not
 // time-dependent: the cached candidates — including their blocking-PoI
 // annotations — then depend only on the immutable dataset and the
 // similarity function the cache is dedicated to. Time-dependent runs
@@ -130,7 +133,7 @@ func (s *Searcher) nextPoIs(r *route.Route, from graph.VertexID) []candidate {
 // candidates are a superset of a cut one's.
 func (s *Searcher) sharedOrRun(from graph.VertexID, pos int, radius, destLim, depart float64) *cacheEntry {
 	shared := s.opts.Shared
-	if shared == nil || s.opts.DisablePathFilter || s.td {
+	if shared == nil || !s.pathFilter || s.td {
 		return s.runMDijkstra(from, pos, radius, destLim, depart)
 	}
 	cat, ok := s.seq[pos].(*route.Category)
@@ -230,19 +233,7 @@ func (s *Searcher) runMDijkstra(from graph.VertexID, pos int, radius, destLim, d
 	s.stats.MDijkstraRuns++
 	mdBegan := time.Now()
 	settled := 0
-	defer func() {
-		d := time.Since(mdBegan)
-		s.stats.MDijkstraTime += d
-		if lg := s.legHook(pos); lg != nil {
-			lg.runs++
-			lg.settled += int64(settled)
-			lg.time += d
-			if !lg.hasDepart && s.td {
-				lg.firstDepart = depart
-				lg.hasDepart = true
-			}
-		}
-	}()
+	defer func() { s.chargeRun(pos, settled, time.Since(mdBegan), depart) }()
 	// The fault hook fires before the checkpoint so a hook that cancels a
 	// context is observed within this very run, keeping cancellation
 	// deterministic on graphs far smaller than the check stride.
@@ -332,7 +323,7 @@ func (s *Searcher) runMDijkstra(from graph.VertexID, pos int, radius, destLim, d
 			}
 		}
 		// Lemma 5.5 property (ii): no traversal through a perfect match.
-		if perfect && !s.opts.DisablePathFilter {
+		if perfect && s.pathFilter {
 			continue
 		}
 		// Downstream vertices see u as an intermediate PoI when it
@@ -402,6 +393,21 @@ func (s *Searcher) runMDijkstra(from graph.VertexID, pos int, radius, destLim, d
 	s.noteFirstRadius(maxSettled)
 	s.chargeSettleStats(settled)
 	return entry
+}
+
+// chargeRun adds one expander run's wall time to Stats.MDijkstraTime and
+// its counters to the leg of routes holding size PoIs.
+func (s *Searcher) chargeRun(size, settled int, d time.Duration, depart float64) {
+	s.stats.MDijkstraTime += d
+	if lg := s.legHook(size); lg != nil {
+		lg.runs++
+		lg.settled += int64(settled)
+		lg.time += d
+		if !lg.hasDepart && s.td {
+			lg.firstDepart = depart
+			lg.hasDepart = true
+		}
+	}
 }
 
 // noteFirstRadius records the explored radius of the first modified

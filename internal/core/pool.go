@@ -71,10 +71,9 @@ func (s *Searcher) clearTransient() {
 	s.seq = nil
 	s.scorer = route.Scorer{}
 	s.sky = nil
-	s.cache = nil
+	s.cache, s.ucache = nil, nil
 	s.bounds = nil
 	s.destDist = nil
-	s.posTree = nil
 	s.stats = Stats{}
 	s.opts.Shared = nil
 	s.opts.Index = nil

@@ -18,6 +18,13 @@ import (
 func ratedDataset(t *testing.T, rng *rand.Rand, f *taxonomy.Forest, vertices, pois int) *dataset.Dataset {
 	t.Helper()
 	d := randomDataset(rng, f, vertices, pois)
+	rate(t, rng, d)
+	return d
+}
+
+// rate attaches random half-step ratings in [0, 5] to d's PoIs.
+func rate(t *testing.T, rng *rand.Rand, d *dataset.Dataset) {
+	t.Helper()
 	ratings := make([]float64, d.Graph.NumVertices())
 	for i := range ratings {
 		ratings[i] = dataset.MaxRating
@@ -28,18 +35,17 @@ func ratedDataset(t *testing.T, rng *rand.Rand, f *taxonomy.Forest, vertices, po
 	if err := d.SetRatings(ratings); err != nil {
 		t.Fatal(err)
 	}
-	return d
 }
 
-func sameSkyline3(got []RatedRoute, want *route.Skyline3) bool {
+func sameSkyline3(got *Result, want *route.Skyline3) bool {
 	wp := want.Points()
-	if len(got) != len(wp) {
+	if len(got.Routes) != len(wp) || len(got.Ratings) != len(wp) {
 		return false
 	}
-	for i := range got {
-		if math.Abs(got[i].Route.Length()-wp[i].L) > 1e-9 ||
-			math.Abs(got[i].Route.Semantic()-wp[i].S) > 1e-9 ||
-			math.Abs(got[i].Rating-wp[i].R) > 1e-9 {
+	for i, r := range got.Routes {
+		if math.Abs(r.Length()-wp[i].L) > 1e-9 ||
+			math.Abs(r.Semantic()-wp[i].S) > 1e-9 ||
+			math.Abs(got.Ratings[i]-wp[i].R) > 1e-9 {
 			return false
 		}
 	}
@@ -70,19 +76,74 @@ func TestRatedMatchesBruteForce(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s idx=%v: %v", name, useIdx, err)
 				}
-				if !sameSkyline3(res.Routes, want) {
+				if !sameSkyline3(res, want) {
 					t.Fatalf("trial %d %s idx=%v: rated skyline mismatch\ngot:  %v\nwant: %v",
-						trial, name, useIdx, renderRated(res.Routes), want.Points())
+						trial, name, useIdx, renderRated(res), want.Points())
 				}
 			}
 		}
 	}
+
+	// The rules rated queries share with ordered ones — the Lemma 5.8
+	// perfect rule, the index prunes and radius cut, the Algorithm 4
+	// restriction at T(0,0) — on three positions, directed graphs,
+	// repeated categories, a start vertex that is itself a matching PoI,
+	// and the SharedCache plan (which rated runs must bypass: their
+	// modified Dijkstra is unfiltered). Dyadic weights make every length
+	// sum exact.
+	var perfect, byIndex int64
+	for trial := 0; trial < 24; trial++ {
+		d := dyadicDataset(rng, f, 16, 12, trial%2 == 1, 0)
+		rate(t, rng, d)
+		idx := index.Build(d)
+		cats := pickCats(rng, f, 3)
+		if trial%3 == 1 {
+			cats[2] = cats[0]
+		}
+		start := graph.VertexID(rng.Intn(16))
+		if trial%4 >= 2 {
+			pois := d.Graph.PoIVertices()
+			start = pois[rng.Intn(len(pois))]
+			cats[0] = d.Graph.Categories(start)[0]
+		}
+		seq := route.NewCategorySequence(f, f.WuPalmer, cats...)
+		want := osr.BruteForceRated(d, start, seq, route.AggProduct)
+		variants := optionVariants()
+		for _, name := range []string{"all", "no-cache"} {
+			o := variants[name]
+			o.Index = idx
+			variants[name+"+index"] = o
+		}
+		shared := DefaultOptions()
+		shared.Index, shared.Shared = idx, NewSharedCache(0)
+		variants["shared"] = shared
+		for name, opts := range variants {
+			res, err := NewSearcher(d, f.WuPalmer, opts).QueryRated(start, seq)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !sameSkyline3(res, want) {
+				t.Fatalf("trial %d %s (cats %v, start %d): rated skyline mismatch\ngot:  %v\nwant: %v",
+					trial, name, cats, start, renderRated(res), want.Points())
+			}
+			if res.Stats.SharedCacheHits != 0 {
+				t.Fatalf("trial %d %s: rated query read %d shared entries", trial, name, res.Stats.SharedCacheHits)
+			}
+			byIndex += res.Stats.PrunedByIndex
+			if name == "all" {
+				perfect += res.Stats.PrunedByBounds
+			}
+		}
+	}
+	if perfect == 0 || byIndex == 0 {
+		t.Fatalf("bounds pruned %d, index pruned %d: the rated prunes never fired", perfect, byIndex)
+	}
 }
 
-func renderRated(rs []RatedRoute) []route.Point3 {
-	out := make([]route.Point3, len(rs))
-	for i, r := range rs {
-		out[i] = route.Point3{L: r.Route.Length(), S: r.Route.Semantic(), R: r.Rating, Route: r.Route}
+func renderRated(res *Result) []route.Point3 {
+	out := make([]route.Point3, len(res.Routes))
+	for i, r := range res.Routes {
+		out[i] = route.Point3{L: r.Length(), S: r.Semantic(), R: res.Ratings[i], Route: r}
 	}
 	return out
 }
@@ -110,10 +171,10 @@ func TestRatedWithoutRatingsCollapsesTo2D(t *testing.T) {
 		t.Fatalf("rated %d routes, plain %d", len(rated.Routes), len(plain.Routes))
 	}
 	for i := range rated.Routes {
-		if rated.Routes[i].Rating != 0 {
-			t.Errorf("penalty = %v without ratings, want 0", rated.Routes[i].Rating)
+		if rated.Ratings[i] != 0 {
+			t.Errorf("penalty = %v without ratings, want 0", rated.Ratings[i])
 		}
-		if math.Abs(rated.Routes[i].Route.Length()-plain.Routes[i].Length()) > 1e-9 {
+		if math.Abs(rated.Routes[i].Length()-plain.Routes[i].Length()) > 1e-9 {
 			t.Errorf("route %d lengths differ", i)
 		}
 	}
@@ -152,15 +213,15 @@ func TestRatedSurfacesBetterRatedAlternative(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(rated.Routes) != 2 {
-		t.Fatalf("rated skyline = %v, want both PoIs", renderRated(rated.Routes))
+		t.Fatalf("rated skyline = %v, want both PoIs", renderRated(rated))
 	}
 	// Near first (shorter, worse rating), far second.
-	if rated.Routes[0].Route.Last() != near || rated.Routes[1].Route.Last() != far {
-		t.Errorf("rated order = %v", renderRated(rated.Routes))
+	if rated.Routes[0].Last() != near || rated.Routes[1].Last() != far {
+		t.Errorf("rated order = %v", renderRated(rated))
 	}
-	if rated.Routes[0].Rating <= rated.Routes[1].Rating {
+	if rated.Ratings[0] <= rated.Ratings[1] {
 		t.Errorf("near penalty %v should exceed far penalty %v",
-			rated.Routes[0].Rating, rated.Routes[1].Rating)
+			rated.Ratings[0], rated.Ratings[1])
 	}
 }
 

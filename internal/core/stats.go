@@ -17,11 +17,12 @@ type Stats struct {
 	// SharedCache (Options.Shared); zero when no cache is attached.
 	SharedCacheHits int64
 
-	// MDijkstraTime totals wall time spent inside runMDijkstra across the
-	// query, or inside the unordered sweeps of QueryUnordered (the
-	// m-Dijkstra stage of the per-search stage breakdown; runs triggered
-	// from NNinit also count toward InitTime, which measures the whole
-	// §5.3.1 phase).
+	// MDijkstraTime totals wall time spent in the expander runs of the
+	// search loop, whatever the query shape: the modified Dijkstra of
+	// ordered, destination, top-k and rated queries (runMDijkstra) and
+	// the sweeps of unordered ones (unorderedNext). It is the m-Dijkstra
+	// stage of the per-search stage breakdown and the sum of the leg[i]
+	// span durations; NNinit's chain searches count toward InitTime.
 	MDijkstraTime time.Duration
 
 	// SettledVertices totals graph vertices settled across all searches —

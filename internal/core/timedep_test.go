@@ -204,7 +204,7 @@ func TestTimeDependentMatchesBruteForce(t *testing.T) {
 			scorer := route.NewScorer(route.AggProduct, size)
 			want := route.NewSkyline()
 			bruteTDRoutes(d, seq, start, graph.NoVertex, depart, scorer, func(r *route.Route) {
-				want.Update(r)
+				want.Update(r, 0)
 			})
 			for name, opts := range tdVariants(d, cats) {
 				opts.DepartAt = depart
@@ -238,7 +238,7 @@ func TestTimeDependentDestinationMatchesBruteForce(t *testing.T) {
 		scorer := route.NewScorer(route.AggProduct, len(seq))
 		want := route.NewSkyline()
 		bruteTDRoutes(d, seq, start, dest, depart, scorer, func(r *route.Route) {
-			want.Update(r)
+			want.Update(r, 0)
 		})
 		for name, opts := range tdVariants(d, cats) {
 			opts.DepartAt = depart
@@ -269,7 +269,7 @@ func TestTimeDependentUnorderedMatchesBruteForce(t *testing.T) {
 		scorer := route.NewScorer(route.AggProduct, len(seq))
 		want := route.NewSkyline()
 		bruteTDUnordered(d, seq, start, depart, scorer, func(r *route.Route) {
-			want.Update(r)
+			want.Update(r, 0)
 		})
 		for _, name := range []string{"none", "all"} {
 			opts := WithoutOptimizations()
@@ -306,7 +306,7 @@ func TestTimeDependentTopKMatchesBruteForce(t *testing.T) {
 			scorer := route.NewScorer(route.AggProduct, len(seq))
 			want := topk.NewSkyband(k)
 			bruteTDRoutes(d, seq, start, graph.NoVertex, depart, scorer, func(r *route.Route) {
-				want.Update(r)
+				want.Update(r, 0)
 			})
 			opts := DefaultOptions()
 			opts.DepartAt = depart

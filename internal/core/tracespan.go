@@ -17,9 +17,9 @@ import (
 	"skysr/internal/taxonomy"
 )
 
-// legTrace aggregates one sequence position's search work for the span
-// tree. legs[i] describes the searches that looked for position i's PoIs
-// — i.e. expansions of routes holding i PoIs.
+// legTrace aggregates one leg's search work for the span tree. legs[i]
+// describes the expansions of routes holding i PoIs, in every query shape
+// — for ordered queries, the searches for position i's PoIs.
 type legTrace struct {
 	runs            int64
 	settled         int64
@@ -36,11 +36,8 @@ type legTrace struct {
 	hasDepart       bool
 }
 
-// initTrace arms the per-query span state. legged selects per-position
-// aggregation (ordered/destination queries); the unordered loop reports
-// stage totals only, its cache keys being position sets rather than
-// positions.
-func (s *Searcher) initTrace(legged bool) {
+// initTrace arms the per-query span state.
+func (s *Searcher) initTrace() {
 	s.span = nil
 	s.legs = nil
 	parent := s.opts.Span
@@ -48,9 +45,7 @@ func (s *Searcher) initTrace(legged bool) {
 		return
 	}
 	s.span = parent.StartSpan("search")
-	if legged {
-		s.legs = make([]legTrace, len(s.seq))
-	}
+	s.legs = make([]legTrace, len(s.seq))
 }
 
 // legHook returns the aggregate for position pos, nil when the query is
@@ -83,7 +78,7 @@ func (s *Searcher) finishTrace(err error) {
 		}
 	}
 	boundsStart := qStart.Add(st.InitTime)
-	if s.opts.LowerBounds && s.legs != nil {
+	if s.bounds != nil {
 		bs := sp.Record("bounds", boundsStart, st.BoundsTime)
 		bs.Set("semantic", st.SemanticBound)
 		bs.Set("perfect", st.PerfectBound)
@@ -96,7 +91,10 @@ func (s *Searcher) finishTrace(err error) {
 	for i := range s.legs {
 		lg := &s.legs[i]
 		ls := sp.Record(fmt.Sprintf("leg[%d]", i), loopStart, lg.time)
-		if i < len(s.idxRows.cats) && s.idxRows.cats[i] != taxonomy.NoCategory {
+		// An unordered leg searches every open position, so only ordered
+		// legs name a position's category and index row.
+		ordered := !s.anyOrder && i < len(s.idxRows.cats)
+		if ordered && s.idxRows.cats[i] != taxonomy.NoCategory {
 			ls.Set("category", int(s.idxRows.cats[i]))
 		}
 		ls.Set("runs", lg.runs)
@@ -119,7 +117,7 @@ func (s *Searcher) finishTrace(err error) {
 		if lg.prunedDest > 0 {
 			ls.Set("pruned_dest", lg.prunedDest)
 		}
-		if i < len(s.idxRows.sem) {
+		if ordered {
 			ls.Set("index_row", s.idxRows.sem[i] != nil)
 		}
 		if lg.hasDepart {

@@ -32,87 +32,111 @@ func findChild(sp *trace.Span, name string) *trace.Span {
 	return nil
 }
 
+// TestQuerySpanTreeMirrorsStats checks the explain tree of every query
+// shape the search loop runs: the search span's attributes equal Stats,
+// NNinit always records a span, the bounds span appears exactly when the
+// §5.3.3 bounds ran (never for unordered queries), and one leg span per
+// route size carries counters summing to the totals.
 func TestQuerySpanTreeMirrorsStats(t *testing.T) {
 	ds, vq, cats := gen.PaperExample()
-	opts := DefaultOptions()
-	tr := trace.New("route")
-	opts.Span = tr.Root()
-	s := NewSearcher(ds, ds.Forest.WuPalmer, opts)
-	res, err := s.QueryCategories(vq, cats...)
-	if err != nil {
-		t.Fatal(err)
+	seq := route.NewCategorySequence(ds.Forest, ds.Forest.WuPalmer, cats...)
+	shapes := []struct {
+		name   string
+		bounds bool
+		query  func(*Searcher) (*Result, error)
+	}{
+		{"ordered", true, func(s *Searcher) (*Result, error) { return s.Query(vq, seq) }},
+		{"unordered", false, func(s *Searcher) (*Result, error) { return s.QueryUnordered(vq, seq) }},
+		{"rated", true, func(s *Searcher) (*Result, error) { return s.QueryRated(vq, seq) }},
 	}
-	tr.Finish()
-
-	kids := tr.Root().Children()
-	if len(kids) != 1 || kids[0].Name() != "search" {
-		t.Fatalf("root children = %v, want one search span", kids)
-	}
-	search := kids[0]
-	attrs := attrMap(search)
-	checks := map[string]string{
-		"results":          strconv.Itoa(res.Stats.Results),
-		"popped":           strconv.FormatInt(res.Stats.RoutesPopped, 10),
-		"enqueued":         strconv.FormatInt(res.Stats.RoutesEnqueued, 10),
-		"settled":          strconv.FormatInt(res.Stats.SettledVertices, 10),
-		"md_runs":          strconv.FormatInt(res.Stats.MDijkstraRuns, 10),
-		"md_requests":      strconv.FormatInt(res.Stats.MDijkstraRequests, 10),
-		"cache_hits":       strconv.FormatInt(res.Stats.CacheHits, 10),
-		"pruned_threshold": strconv.FormatInt(res.Stats.PrunedThreshold, 10),
-		"pruned_bounds":    strconv.FormatInt(res.Stats.PrunedByBounds, 10),
-		"pruned_index":     strconv.FormatInt(res.Stats.PrunedByIndex, 10),
-	}
-	for k, want := range checks {
-		if attrs[k] != want {
-			t.Errorf("search attr %s = %q, want %q", k, attrs[k], want)
-		}
-	}
-	if _, ok := attrs["interrupted"]; ok {
-		t.Error("completed query marked interrupted")
-	}
-
-	nninit := findChild(search, "nninit")
-	if nninit == nil {
-		t.Fatal("no nninit span")
-	}
-	na := attrMap(nninit)
-	if na["routes"] != strconv.Itoa(res.Stats.InitRoutes) {
-		t.Errorf("nninit routes = %q, want %d", na["routes"], res.Stats.InitRoutes)
-	}
-	if findChild(search, "bounds") == nil {
-		t.Fatal("no bounds span")
-	}
-
-	// One leg span per position, with counters summing to the totals.
-	var legRuns, legSettled, legPopped int64
-	for i := range cats {
-		leg := findChild(search, "leg["+strconv.Itoa(i)+"]")
-		if leg == nil {
-			t.Fatalf("no leg[%d] span", i)
-		}
-		la := attrMap(leg)
-		for _, key := range []string{"runs", "settled", "popped", "enqueued", "cache_hits"} {
-			if _, ok := la[key]; !ok {
-				t.Fatalf("leg[%d] missing attr %s: %v", i, la, key)
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			tr := trace.New("route")
+			opts.Span = tr.Root()
+			res, err := sh.query(NewSearcher(ds, ds.Forest.WuPalmer, opts))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		r, _ := strconv.ParseInt(la["runs"], 10, 64)
-		sv, _ := strconv.ParseInt(la["settled"], 10, 64)
-		p, _ := strconv.ParseInt(la["popped"], 10, 64)
-		legRuns += r
-		legSettled += sv
-		legPopped += p
-	}
-	if legRuns != res.Stats.MDijkstraRuns {
-		t.Errorf("Σ leg runs = %d, want MDijkstraRuns %d", legRuns, res.Stats.MDijkstraRuns)
-	}
-	if legPopped != res.Stats.RoutesPopped {
-		t.Errorf("Σ leg popped = %d, want RoutesPopped %d", legPopped, res.Stats.RoutesPopped)
-	}
-	// Leg settles exclude the shared-workspace searches (NNinit, bounds),
-	// so they can only bound the total from below.
-	if legSettled > res.Stats.SettledVertices {
-		t.Errorf("Σ leg settled = %d > total %d", legSettled, res.Stats.SettledVertices)
+			tr.Finish()
+
+			kids := tr.Root().Children()
+			if len(kids) != 1 || kids[0].Name() != "search" {
+				t.Fatalf("root children = %v, want one search span", kids)
+			}
+			search := kids[0]
+			attrs := attrMap(search)
+			checks := map[string]string{
+				"results":          strconv.Itoa(res.Stats.Results),
+				"popped":           strconv.FormatInt(res.Stats.RoutesPopped, 10),
+				"enqueued":         strconv.FormatInt(res.Stats.RoutesEnqueued, 10),
+				"settled":          strconv.FormatInt(res.Stats.SettledVertices, 10),
+				"md_runs":          strconv.FormatInt(res.Stats.MDijkstraRuns, 10),
+				"md_requests":      strconv.FormatInt(res.Stats.MDijkstraRequests, 10),
+				"cache_hits":       strconv.FormatInt(res.Stats.CacheHits, 10),
+				"pruned_threshold": strconv.FormatInt(res.Stats.PrunedThreshold, 10),
+				"pruned_bounds":    strconv.FormatInt(res.Stats.PrunedByBounds, 10),
+				"pruned_index":     strconv.FormatInt(res.Stats.PrunedByIndex, 10),
+			}
+			for k, want := range checks {
+				if attrs[k] != want {
+					t.Errorf("search attr %s = %q, want %q", k, attrs[k], want)
+				}
+			}
+			if _, ok := attrs["interrupted"]; ok {
+				t.Error("completed query marked interrupted")
+			}
+
+			nninit := findChild(search, "nninit")
+			if nninit == nil {
+				t.Fatal("no nninit span")
+			}
+			na := attrMap(nninit)
+			if na["routes"] != strconv.Itoa(res.Stats.InitRoutes) {
+				t.Errorf("nninit routes = %q, want %d", na["routes"], res.Stats.InitRoutes)
+			}
+			if got := findChild(search, "bounds") != nil; got != sh.bounds {
+				t.Fatalf("bounds span present = %v, want %v", got, sh.bounds)
+			}
+
+			// One leg span per route size, with counters summing to the
+			// totals.
+			var legRuns, legSettled, legPopped, legHits int64
+			for i := range cats {
+				leg := findChild(search, "leg["+strconv.Itoa(i)+"]")
+				if leg == nil {
+					t.Fatalf("no leg[%d] span", i)
+				}
+				la := attrMap(leg)
+				for _, key := range []string{"runs", "settled", "popped", "enqueued", "cache_hits"} {
+					if _, ok := la[key]; !ok {
+						t.Fatalf("leg[%d] missing attr %s: %v", i, key, la)
+					}
+				}
+				r, _ := strconv.ParseInt(la["runs"], 10, 64)
+				sv, _ := strconv.ParseInt(la["settled"], 10, 64)
+				p, _ := strconv.ParseInt(la["popped"], 10, 64)
+				h, _ := strconv.ParseInt(la["cache_hits"], 10, 64)
+				legRuns += r
+				legSettled += sv
+				legPopped += p
+				legHits += h
+			}
+			if legRuns == 0 || legRuns != res.Stats.MDijkstraRuns {
+				t.Errorf("Σ leg runs = %d, want MDijkstraRuns %d > 0", legRuns, res.Stats.MDijkstraRuns)
+			}
+			if legPopped != res.Stats.RoutesPopped {
+				t.Errorf("Σ leg popped = %d, want RoutesPopped %d", legPopped, res.Stats.RoutesPopped)
+			}
+			if legHits != res.Stats.CacheHits {
+				t.Errorf("Σ leg cache_hits = %d, want CacheHits %d", legHits, res.Stats.CacheHits)
+			}
+			// Leg settles exclude the shared-workspace searches (NNinit,
+			// bounds), so they can only bound the total from below.
+			if legSettled > res.Stats.SettledVertices {
+				t.Errorf("Σ leg settled = %d > total %d", legSettled, res.Stats.SettledVertices)
+			}
+		})
 	}
 }
 
@@ -211,33 +235,6 @@ func TestCancelledQueryRecordsInterruptedSpan(t *testing.T) {
 	}
 	if _, ok := attrMap(kids[0])["interrupted"]; !ok {
 		t.Fatal("interrupted query span lacks the interrupted attr")
-	}
-}
-
-func TestUnorderedQuerySpanIsCoarse(t *testing.T) {
-	ds, vq, cats := gen.PaperExample()
-	opts := DefaultOptions()
-	tr := trace.New("route")
-	opts.Span = tr.Root()
-	s := NewSearcher(ds, ds.Forest.WuPalmer, opts)
-	seq := route.NewCategorySequence(ds.Forest, ds.Forest.WuPalmer, cats...)
-	res, err := s.QueryUnordered(vq, seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Finish()
-	kids := tr.Root().Children()
-	if len(kids) != 1 || kids[0].Name() != "search" {
-		t.Fatalf("root children = %v", kids)
-	}
-	attrs := attrMap(kids[0])
-	if attrs["results"] != strconv.Itoa(res.Stats.Results) {
-		t.Errorf("results attr = %q, want %d", attrs["results"], res.Stats.Results)
-	}
-	for _, c := range kids[0].Children() {
-		if len(c.Name()) > 3 && c.Name()[:3] == "leg" {
-			t.Fatalf("unordered query produced a per-leg span %s", c.Name())
-		}
 	}
 }
 

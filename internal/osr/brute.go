@@ -74,7 +74,7 @@ func BruteForceSkySRWithDestination(d *dataset.Dataset, start graph.VertexID, se
 				}
 				r = r.AddLength(leg)
 			}
-			sky.Update(r)
+			sky.Update(r, 0)
 			return
 		}
 		for i, p := range cands[pos] {
@@ -135,7 +135,7 @@ func BruteForceRated(d *dataset.Dataset, start graph.VertexID, seq route.Sequenc
 	rec = func(r *route.Route, from graph.VertexID, penalty float64) {
 		pos := r.Size()
 		if pos == k {
-			sky.Update(route.Point3{L: r.Length(), S: r.Semantic(), R: penalty / float64(k), Route: r})
+			sky.Update(r, penalty/float64(k))
 			return
 		}
 		for i, p := range cands[pos] {
@@ -185,7 +185,7 @@ func BruteForceUnordered(d *dataset.Dataset, start graph.VertexID, seq route.Seq
 	var rec func(r *route.Route, from graph.VertexID, mask uint32)
 	rec = func(r *route.Route, from graph.VertexID, mask uint32) {
 		if r.Size() == k {
-			sky.Update(r)
+			sky.Update(r, 0)
 			return
 		}
 		for pos := 0; pos < k; pos++ {

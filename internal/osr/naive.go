@@ -35,7 +35,7 @@ func (s *Solver) SkySR(start graph.VertexID, cats []taxonomy.CategoryID) (*route
 			return nil, err
 		}
 		if r != nil {
-			sky.Update(r)
+			sky.Update(r, 0)
 		}
 	}
 	return sky, nil
@@ -86,7 +86,7 @@ func (s *Solver) SkySRExact(start graph.VertexID, cats []taxonomy.CategoryID) (*
 			return nil, err
 		}
 		if r != nil {
-			sky.Update(r)
+			sky.Update(r, 0)
 		}
 		pos := len(cats) - 1
 		for pos >= 0 {

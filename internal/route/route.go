@@ -273,8 +273,9 @@ func (s *Skyline) Routes() []*Route {
 
 // Update inserts r unless it is dominated by, or equivalent to, a member
 // (Lemma 5.1); on insertion every member dominated by r is evicted. It
-// reports whether the set changed.
-func (s *Skyline) Update(r *Route) bool {
+// reports whether the set changed. The rating penalty is ignored: the
+// set has two criteria (Skyline3 is the three-criteria form).
+func (s *Skyline) Update(r *Route, _ float64) bool {
 	for _, m := range s.routes {
 		if m.Dominates(r) || m.Equivalent(r) {
 			return false
@@ -303,8 +304,9 @@ func (s *Skyline) Covers(r *Route) bool {
 
 // CoversPoint reports whether some member dominates-or-equals the raw
 // score point (l, sem) — the witness test of the Lemma 5.8 rules, and
-// the k = 1 case of the top-k band's k-witness test.
-func (s *Skyline) CoversPoint(l, sem float64) bool {
+// the k = 1 case of the top-k band's k-witness test. The rating penalty
+// is ignored.
+func (s *Skyline) CoversPoint(l, sem, _ float64) bool {
 	for _, m := range s.routes {
 		if m.length <= l && m.semantic <= sem {
 			return true
@@ -315,8 +317,8 @@ func (s *Skyline) CoversPoint(l, sem float64) bool {
 
 // Threshold returns l̄ for a route with semantic score sem (Equation 3):
 // the smallest length score among members whose semantic score is ≤ sem,
-// or +Inf when no member qualifies.
-func (s *Skyline) Threshold(sem float64) float64 {
+// or +Inf when no member qualifies. The rating penalty is ignored.
+func (s *Skyline) Threshold(sem, _ float64) float64 {
 	best := math.Inf(1)
 	for _, m := range s.routes {
 		if m.semantic <= sem && m.length < best {
@@ -328,7 +330,7 @@ func (s *Skyline) Threshold(sem float64) float64 {
 
 // ThresholdPerfect returns l̄(∅): the threshold for a route whose semantic
 // score is 0, used by the Algorithm 4 radius restriction.
-func (s *Skyline) ThresholdPerfect() float64 { return s.Threshold(0) }
+func (s *Skyline) ThresholdPerfect() float64 { return s.Threshold(0, 0) }
 
 // MemoryFootprintBytes estimates the bytes held by the set, for the
 // Table 6 accounting.

@@ -255,20 +255,20 @@ func TestDominanceIrreflexiveAntisymmetricQuick(t *testing.T) {
 
 func TestSkylineUpdate(t *testing.T) {
 	s := NewSkyline()
-	if !s.Update(mkRoute(10, 0.5)) {
+	if !s.Update(mkRoute(10, 0.5), 0) {
 		t.Fatal("first insert should succeed")
 	}
-	if !s.Update(mkRoute(20, 0.2)) {
+	if !s.Update(mkRoute(20, 0.2), 0) {
 		t.Fatal("incomparable insert should succeed")
 	}
-	if s.Update(mkRoute(25, 0.6)) {
+	if s.Update(mkRoute(25, 0.6), 0) {
 		t.Error("dominated insert should fail")
 	}
-	if s.Update(mkRoute(10, 0.5)) {
+	if s.Update(mkRoute(10, 0.5), 0) {
 		t.Error("equivalent insert should fail")
 	}
 	// Dominates both members: they must be evicted.
-	if !s.Update(mkRoute(5, 0.1)) {
+	if !s.Update(mkRoute(5, 0.1), 0) {
 		t.Fatal("dominating insert should succeed")
 	}
 	if s.Len() != 1 {
@@ -284,7 +284,7 @@ func TestSkylineMinimalInvariantQuick(t *testing.T) {
 	f := func(pairs [][2]float64) bool {
 		s := NewSkyline()
 		for _, p := range pairs {
-			s.Update(mkRoute(math.Abs(p[0]), math.Abs(math.Mod(p[1], 1))))
+			s.Update(mkRoute(math.Abs(p[0]), math.Abs(math.Mod(p[1], 1))), 0)
 		}
 		rs := s.Routes()
 		for i := range rs {
@@ -314,7 +314,7 @@ func TestSkylineMatchesBruteForceQuick(t *testing.T) {
 		}
 		s := NewSkyline()
 		for _, r := range routes {
-			s.Update(r)
+			s.Update(r, 0)
 		}
 		// Brute force: a score pair survives iff no other pair dominates it.
 		type pair struct{ l, sem float64 }
@@ -348,12 +348,12 @@ func TestSkylineMatchesBruteForceQuick(t *testing.T) {
 
 func TestThreshold(t *testing.T) {
 	s := NewSkyline()
-	if !math.IsInf(s.Threshold(0.5), 1) {
+	if !math.IsInf(s.Threshold(0.5, 0), 1) {
 		t.Error("empty skyline threshold should be +Inf")
 	}
-	s.Update(mkRoute(10, 0.0))
-	s.Update(mkRoute(6, 0.3))
-	s.Update(mkRoute(3, 0.7))
+	s.Update(mkRoute(10, 0.0), 0)
+	s.Update(mkRoute(6, 0.3), 0)
+	s.Update(mkRoute(3, 0.7), 0)
 	tests := []struct {
 		sem  float64
 		want float64
@@ -365,7 +365,7 @@ func TestThreshold(t *testing.T) {
 		{1.0, 3},
 	}
 	for _, tt := range tests {
-		if got := s.Threshold(tt.sem); got != tt.want {
+		if got := s.Threshold(tt.sem, 0); got != tt.want {
 			t.Errorf("Threshold(%v) = %v, want %v", tt.sem, got, tt.want)
 		}
 	}
@@ -376,7 +376,7 @@ func TestThreshold(t *testing.T) {
 
 func TestCoversMatchesLemma53(t *testing.T) {
 	s := NewSkyline()
-	s.Update(mkRoute(10, 0.2))
+	s.Update(mkRoute(10, 0.2), 0)
 	if !s.Covers(mkRoute(12, 0.3)) {
 		t.Error("dominated route should be covered")
 	}

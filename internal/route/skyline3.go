@@ -28,8 +28,9 @@ func (p Point3) equivalent(o Point3) bool {
 }
 
 // Skyline3 maintains the minimal set of three-criteria routes, the
-// three-dimensional analogue of Skyline. Sets stay small, so linear scans
-// remain the right structure.
+// three-dimensional analogue of Skyline, with the same method set: the
+// rating penalty Skyline ignores is its third coordinate. Sets stay small,
+// so linear scans remain the right structure.
 type Skyline3 struct {
 	pts []Point3
 }
@@ -56,9 +57,34 @@ func (s *Skyline3) Points() []Point3 {
 	return out
 }
 
-// Update inserts p unless a member dominates or equals it; on insertion
-// every member p dominates is evicted. It reports whether the set changed.
-func (s *Skyline3) Update(p Point3) bool {
+// Routes returns the member routes in Points order.
+func (s *Skyline3) Routes() []*Route {
+	pts := s.Points()
+	out := make([]*Route, len(pts))
+	for i, p := range pts {
+		out[i] = p.Route
+	}
+	return out
+}
+
+// Ratings returns the members' rating penalties in Points order.
+func (s *Skyline3) Ratings() []float64 {
+	pts := s.Points()
+	out := make([]float64, len(pts))
+	for i, p := range pts {
+		out[i] = p.R
+	}
+	return out
+}
+
+// Update inserts r with the given rating penalty unless a member
+// dominates or equals it; on insertion every member it dominates is
+// evicted. It reports whether the set changed.
+func (s *Skyline3) Update(r *Route, rating float64) bool {
+	return s.add(Point3{L: r.length, S: r.semantic, R: rating, Route: r})
+}
+
+func (s *Skyline3) add(p Point3) bool {
 	for _, m := range s.pts {
 		if m.dominates(p) || m.equivalent(p) {
 			return false
@@ -74,11 +100,12 @@ func (s *Skyline3) Update(p Point3) bool {
 	return true
 }
 
-// Covers reports whether some member dominates or equals (l, sem, rat) —
-// the three-criteria pruning condition (Lemma 5.3 generalized: scores are
-// monotone under extension in all three dimensions, so a covered partial
-// route cannot produce an uncovered completion).
-func (s *Skyline3) Covers(l, sem, rat float64) bool {
+// CoversPoint reports whether some member dominates or equals (l, sem,
+// rat) — the three-criteria pruning condition (Lemma 5.3 generalized:
+// scores are monotone under extension in all three dimensions, so a
+// covered partial route cannot produce an uncovered completion) and the
+// witness test of the Lemma 5.8 rules.
+func (s *Skyline3) CoversPoint(l, sem, rat float64) bool {
 	for _, m := range s.pts {
 		if m.L <= l && m.S <= sem && m.R <= rat {
 			return true
@@ -100,3 +127,8 @@ func (s *Skyline3) Threshold(sem, rat float64) float64 {
 	}
 	return best
 }
+
+// ThresholdPerfect returns Threshold(0, 0), the l̄(∅) of the Algorithm 4
+// radius restriction: a route with a PoI farther from the start is at
+// least that long and scores no better on either other criterion.
+func (s *Skyline3) ThresholdPerfect() float64 { return s.Threshold(0, 0) }

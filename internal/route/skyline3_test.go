@@ -32,19 +32,19 @@ func TestPoint3Dominates(t *testing.T) {
 
 func TestSkyline3Update(t *testing.T) {
 	s := NewSkyline3()
-	if !s.Update(p3(10, 0.5, 0.5)) {
+	if !s.add(p3(10, 0.5, 0.5)) {
 		t.Fatal("first insert should succeed")
 	}
-	if !s.Update(p3(5, 0.9, 0.1)) {
+	if !s.add(p3(5, 0.9, 0.1)) {
 		t.Fatal("incomparable insert should succeed")
 	}
-	if s.Update(p3(11, 0.6, 0.6)) {
+	if s.add(p3(11, 0.6, 0.6)) {
 		t.Error("dominated insert should fail")
 	}
-	if s.Update(p3(10, 0.5, 0.5)) {
+	if s.add(p3(10, 0.5, 0.5)) {
 		t.Error("equivalent insert should fail")
 	}
-	if !s.Update(p3(1, 0.1, 0.05)) {
+	if !s.add(p3(1, 0.1, 0.05)) {
 		t.Fatal("dominating insert should succeed")
 	}
 	if s.Len() != 1 {
@@ -57,9 +57,9 @@ func TestSkyline3Threshold(t *testing.T) {
 	if !math.IsInf(s.Threshold(1, 1), 1) {
 		t.Error("empty threshold should be +Inf")
 	}
-	s.Update(p3(10, 0.0, 0.4))
-	s.Update(p3(6, 0.3, 0.2))
-	s.Update(p3(3, 0.7, 0.0))
+	s.add(p3(10, 0.0, 0.4))
+	s.add(p3(6, 0.3, 0.2))
+	s.add(p3(3, 0.7, 0.0))
 	tests := []struct {
 		sem, rat, want float64
 	}{
@@ -75,10 +75,10 @@ func TestSkyline3Threshold(t *testing.T) {
 			t.Errorf("Threshold(%v, %v) = %v, want %v", tt.sem, tt.rat, got, tt.want)
 		}
 	}
-	if !s.Covers(11, 0.3, 0.2) {
+	if !s.CoversPoint(11, 0.3, 0.2) {
 		t.Error("should cover a longer route with equal scores")
 	}
-	if s.Covers(5, 0.3, 0.1) {
+	if s.CoversPoint(5, 0.3, 0.1) {
 		t.Error("should not cover an uncovered point")
 	}
 }
@@ -93,7 +93,7 @@ func TestSkyline3MatchesBruteForce(t *testing.T) {
 		}
 		s := NewSkyline3()
 		for _, p := range pts {
-			s.Update(p)
+			s.add(p)
 		}
 		// Brute force: survivors are points not dominated by any other.
 		type key struct{ l, s, r float64 }
@@ -136,9 +136,9 @@ func TestSkyline3MatchesBruteForce(t *testing.T) {
 
 func TestSkyline3PointsSorted(t *testing.T) {
 	s := NewSkyline3()
-	s.Update(p3(5, 0.5, 0.1))
-	s.Update(p3(3, 0.7, 0.2))
-	s.Update(p3(8, 0.1, 0.3))
+	s.add(p3(5, 0.5, 0.1))
+	s.add(p3(3, 0.7, 0.2))
+	s.add(p3(8, 0.1, 0.3))
 	pts := s.Points()
 	for i := 1; i < len(pts); i++ {
 		if pts[i].L < pts[i-1].L {

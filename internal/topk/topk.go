@@ -95,8 +95,9 @@ func (b *Skyband) countLE(l, sem float64) int {
 // CoversPoint reports that at least k accepted points are componentwise
 // ≤ (l, sem): every completion scoring there (or worse) is outside the
 // band, whatever routes are still to be found. It is the k-witness form
-// of the Lemma 5.8 membership test.
-func (b *Skyband) CoversPoint(l, sem float64) bool {
+// of the Lemma 5.8 membership test. The rating penalty is ignored (the
+// band has two criteria).
+func (b *Skyband) CoversPoint(l, sem, _ float64) bool {
 	n := 0
 	for _, m := range b.routes {
 		if m.Length() <= l && m.Semantic() <= sem {
@@ -113,8 +114,9 @@ func (b *Skyband) CoversPoint(l, sem float64) bool {
 // k-th smallest length among accepted points whose semantic score is
 // ≤ sem, or +Inf when fewer than k qualify. A route with semantic score
 // sem is dead once its length reaches it — the band already holds k
-// points that dominate-or-equal anything it could complete into.
-func (b *Skyband) Threshold(sem float64) float64 {
+// points that dominate-or-equal anything it could complete into. The
+// rating penalty is ignored.
+func (b *Skyband) Threshold(sem, _ float64) float64 {
 	sel := b.sel[:0]
 	for _, m := range b.routes {
 		if m.Semantic() > sem {
@@ -142,7 +144,7 @@ func (b *Skyband) Threshold(sem float64) float64 {
 // ThresholdPerfect returns Threshold(0), the k-th-best l̄(∅) that the
 // Algorithm 4 radius restriction uses: every route still able to enter
 // the band keeps all its PoIs within that distance of the start.
-func (b *Skyband) ThresholdPerfect() float64 { return b.Threshold(0) }
+func (b *Skyband) ThresholdPerfect() float64 { return b.Threshold(0, 0) }
 
 // BestThreshold returns the classic (k = 1) threshold — the smallest
 // member length at similarity level ≤ sem. The search uses it to count
@@ -162,15 +164,15 @@ func (b *Skyband) BestThreshold(sem float64) float64 {
 // the new point pushes out of the band are evicted. It reports whether
 // the band changed. With k = 1 this is exactly route.Skyline.Update:
 // reject when dominated-or-equivalent, evict what the new route
-// dominates.
-func (b *Skyband) Update(r *route.Route) bool {
+// dominates. The rating penalty is ignored.
+func (b *Skyband) Update(r *route.Route, _ float64) bool {
 	l, s := r.Length(), r.Semantic()
 	for _, m := range b.routes {
 		if m.Length() == l && m.Semantic() == s {
 			return false // point already represented; first route wins
 		}
 	}
-	if b.CoversPoint(l, s) {
+	if b.CoversPoint(l, s, 0) {
 		return false
 	}
 	b.routes = append(b.routes, r)

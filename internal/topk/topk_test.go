@@ -39,7 +39,7 @@ func TestSkybandOneEqualsSkyline(t *testing.T) {
 		band := NewSkyband(1)
 		sky := route.NewSkyline()
 		for _, r := range randomStream(rng, 40) {
-			if got, want := band.Update(r), sky.Update(r); got != want {
+			if got, want := band.Update(r, 0), sky.Update(r, 0); got != want {
 				t.Fatalf("trial %d: Update(%v) band=%v skyline=%v", trial, r, got, want)
 			}
 		}
@@ -53,7 +53,7 @@ func TestSkybandOneEqualsSkyline(t *testing.T) {
 			}
 		}
 		for sem := 0.0; sem <= 1.0; sem += 0.0625 {
-			if got, want := band.Threshold(sem), sky.Threshold(sem); got != want {
+			if got, want := band.Threshold(sem, 0), sky.Threshold(sem, 0); got != want {
 				t.Fatalf("trial %d: Threshold(%g) band=%g skyline=%g", trial, sem, got, want)
 			}
 		}
@@ -74,7 +74,7 @@ func TestSkybandMatchesBand(t *testing.T) {
 			band := NewSkyband(k)
 			var pts []Point
 			for _, r := range randomStream(rng, 50) {
-				band.Update(r)
+				band.Update(r, 0)
 				pts = append(pts, Point{Length: r.Length(), Semantic: r.Semantic()})
 			}
 			want := Band(pts, k)
@@ -108,7 +108,7 @@ func TestSkybandMatchesBand(t *testing.T) {
 					}
 					wantTh = lengths[k-1]
 				}
-				if got := band.Threshold(sem); got != wantTh {
+				if got := band.Threshold(sem, 0); got != wantTh {
 					t.Fatalf("k=%d trial %d: Threshold(%g) = %g, want %g", k, trial, sem, got, wantTh)
 				}
 			}
@@ -127,7 +127,7 @@ func TestSkybandMonotoneInK(t *testing.T) {
 		for k := 1; k <= 6; k++ {
 			band := NewSkyband(k)
 			for _, r := range stream {
-				band.Update(r)
+				band.Update(r, 0)
 			}
 			var cur []Point
 			for _, m := range band.Routes() {
@@ -157,15 +157,15 @@ func TestSkybandCoversPoint(t *testing.T) {
 	for _, k := range []int{1, 2, 4} {
 		band := NewSkyband(k)
 		for _, r := range randomStream(rng, 80) {
-			band.Update(r)
+			band.Update(r, 0)
 		}
 		for l := 0.5; l <= 9; l += 0.5 {
 			for sem := 0.0; sem <= 1.0; sem += 0.125 {
 				want := band.countLE(l, sem) >= k
-				if got := band.CoversPoint(l, sem); got != want {
+				if got := band.CoversPoint(l, sem, 0); got != want {
 					t.Fatalf("k=%d: CoversPoint(%g, %g) = %v, want %v", k, l, sem, got, want)
 				}
-				if got := l >= band.Threshold(sem); got != want {
+				if got := l >= band.Threshold(sem, 0); got != want {
 					t.Fatalf("k=%d: threshold form at (%g, %g) = %v, want %v", k, l, sem, got, want)
 				}
 			}
@@ -179,10 +179,10 @@ func TestSkybandDuplicatePoint(t *testing.T) {
 	sc := route.NewScorer(route.AggProduct, 1)
 	band := NewSkyband(3)
 	first := fakeRoute(sc, 1, 5, 0.25)
-	if !band.Update(first) {
+	if !band.Update(first, 0) {
 		t.Fatal("first route rejected")
 	}
-	if band.Update(fakeRoute(sc, 2, 5, 0.25)) {
+	if band.Update(fakeRoute(sc, 2, 5, 0.25), 0) {
 		t.Fatal("duplicate score point accepted")
 	}
 	if got := band.Routes(); len(got) != 1 || got[0] != first {

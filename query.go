@@ -495,8 +495,6 @@ func (e *Engine) searchOn(sn *snapshot, q Query, opts SearchOptions) (*Answer, e
 	}
 
 	began := time.Now()
-	var routes []*route.Route
-	var stats *core.Stats
 	switch opts.Algorithm {
 	case BSSR, BSSRNoOpt:
 		copts := core.DefaultOptions()
@@ -523,26 +521,15 @@ func (e *Engine) searchOn(sn *snapshot, q Query, opts SearchOptions) (*Answer, e
 		}
 		s := sn.pool.Get(sim, copts)
 		defer sn.pool.Put(s)
-		if q.IncludeRatings {
-			if q.Unordered || q.HasDestination {
-				return nil, fmt.Errorf("skysr: IncludeRatings cannot combine with Unordered or Destination")
-			}
-			res, err := s.QueryRated(q.Start, seq)
-			if err != nil {
-				if res != nil {
-					e.observeSearch(&res.Stats, true)
-					return partialAnswer(opts.Algorithm, &res.Stats, began), err
-				}
-				return nil, err
-			}
-			e.observeSearch(&res.Stats, false)
-			return buildRatedAnswer(sn, q, opts, res, began, s)
-		}
 		var res *core.Result
 		var err error
 		switch {
+		case q.IncludeRatings && (q.Unordered || q.HasDestination):
+			return nil, fmt.Errorf("skysr: IncludeRatings cannot combine with Unordered or Destination")
 		case q.Unordered && q.HasDestination:
 			return nil, fmt.Errorf("skysr: unordered queries with destinations are not supported")
+		case q.IncludeRatings:
+			res, err = s.QueryRated(q.Start, seq)
 		case q.Unordered:
 			res, err = s.QueryUnordered(q.Start, seq)
 		case q.HasDestination:
@@ -557,16 +544,12 @@ func (e *Engine) searchOn(sn *snapshot, q Query, opts SearchOptions) (*Answer, e
 			}
 			return nil, err
 		}
-		routes = res.Routes
-		stats = &res.Stats
-		e.observeSearch(stats, false)
-		if opts.ExpandPaths {
-			dest := graph.NoVertex
-			if q.HasDestination {
-				dest = q.Destination
-			}
-			return buildAnswer(sn, q, opts, routes, stats, began, s, dest)
+		e.observeSearch(&res.Stats, false)
+		dest := graph.NoVertex
+		if q.HasDestination {
+			dest = q.Destination
 		}
+		return buildAnswer(sn, q, opts, res.Routes, res.Ratings, &res.Stats, began, s, dest)
 	case NaiveDijkstra, NaivePNE:
 		if q.Unordered || q.HasDestination || q.IncludeRatings {
 			return nil, fmt.Errorf("skysr: the naive baselines answer only plain ordered queries")
@@ -585,11 +568,10 @@ func (e *Engine) searchOn(sn *snapshot, q Query, opts SearchOptions) (*Answer, e
 		if err != nil {
 			return nil, err
 		}
-		routes = sky.Routes()
+		return buildAnswer(sn, q, opts, sky.Routes(), nil, nil, began, nil, graph.NoVertex)
 	default:
 		return nil, fmt.Errorf("skysr: unknown algorithm %d", opts.Algorithm)
 	}
-	return buildAnswer(sn, q, opts, routes, stats, began, nil, graph.NoVertex)
 }
 
 // partialAnswer packages the instrumentation of an interrupted search:
@@ -600,34 +582,10 @@ func partialAnswer(alg Algorithm, stats *core.Stats, began time.Time) *Answer {
 	return &Answer{Algorithm: alg, Stats: stats, Elapsed: time.Since(began)}
 }
 
-// buildRatedAnswer converts a three-criteria result into an Answer.
-func buildRatedAnswer(sn *snapshot, q Query, opts SearchOptions, res *core.RatedResult, began time.Time, s *core.Searcher) (*Answer, error) {
-	ans := &Answer{Algorithm: opts.Algorithm, Stats: &res.Stats}
-	for i, rr := range res.Routes {
-		info := RouteInfo{
-			Rank:          i + 1,
-			PoIs:          rr.Route.PoIs(),
-			LengthScore:   rr.Route.Length(),
-			SemanticScore: rr.Route.Semantic(),
-			RatingScore:   rr.Rating,
-		}
-		for _, p := range info.PoIs {
-			info.PoINames = append(info.PoINames, poiName(sn.ds, p))
-		}
-		if opts.ExpandPaths {
-			path, err := s.ExpandPath(q.Start, rr.Route, graph.NoVertex)
-			if err != nil {
-				return nil, err
-			}
-			info.Path = path
-		}
-		ans.Routes = append(ans.Routes, info)
-	}
-	ans.Elapsed = time.Since(began)
-	return ans, nil
-}
-
-func buildAnswer(sn *snapshot, q Query, opts SearchOptions, routes []*route.Route, stats *core.Stats, began time.Time, s *core.Searcher, dest VertexID) (*Answer, error) {
+// buildAnswer converts a result into an Answer. ratings holds the rating
+// penalties of a rated query's routes and is nil otherwise; paths are
+// expanded only when s is non-nil.
+func buildAnswer(sn *snapshot, q Query, opts SearchOptions, routes []*route.Route, ratings []float64, stats *core.Stats, began time.Time, s *core.Searcher, dest VertexID) (*Answer, error) {
 	ans := &Answer{Algorithm: opts.Algorithm, Stats: stats}
 	for i, r := range routes {
 		info := RouteInfo{
@@ -636,6 +594,9 @@ func buildAnswer(sn *snapshot, q Query, opts SearchOptions, routes []*route.Rout
 			LengthScore:   r.Length(),
 			SemanticScore: r.Semantic(),
 			RatingScore:   -1,
+		}
+		if ratings != nil {
+			info.RatingScore = ratings[i]
 		}
 		for _, p := range info.PoIs {
 			info.PoINames = append(info.PoINames, poiName(sn.ds, p))
